@@ -15,7 +15,7 @@ from .metrics import ConfusionCounts, metrics
 from .prequential import (EvalConfig, Summary, TraceRow, run_prequential,
                           write_trace)
 from .rng import Xorshift64Star, permutation
-from .tree import HoeffdingTree, TreeClassifier, TreeParams
+from .tree import HoeffdingTree, TreeParams
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "EnsembleParams", "EvalConfig", "ExperimentConfig", "FairnessLedger",
     "GeneratorConfig", "GeneratorError", "HoeffdingTree", "ImbalanceMonitor",
     "Instance", "NEGATIVE", "Notion", "POSITIVE", "PRESET_NAMES", "Schedule",
-    "Summary", "TraceRow", "TreeClassifier", "TreeParams",
+    "Summary", "TraceRow", "TreeParams",
     "UndefinedRateError", "Xorshift64Star", "config_to_text", "generate",
     "load_csv", "method_params", "metrics", "parse_config_file",
     "parse_config_text", "permutation", "preset", "replay", "run_prequential",

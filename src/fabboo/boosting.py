@@ -48,7 +48,6 @@ class EnsembleParams:
     decay: float = 0.9           # imbalance monitor decay
     smoothing: float = 1.0       # fairness-ledger denominator correction
     chunk: int | None = None     # chunked mitigation ledger (short-term mode)
-    hard_votes: bool = False     # consume learner outputs as sign(margin)
 
     def __post_init__(self):
         if self.learners < 1:
@@ -110,7 +109,13 @@ class BoundaryWindow:
 
 
 class BoostedEnsemble:
-    """Sequentially boosted trees with optional imbalance and fairness modes."""
+    """Sequentially boosted trees with optional imbalance and fairness modes.
+
+    `learner_factory()` builds each learner (default: a HoeffdingTree over
+    `kinds`). A learner has `predict_margin(x)`, a margin in [-1, 1], and
+    `train_weighted(x, label, w)`, which learns x with weight w >= 0 and
+    returns its margin on x after that update.
+    """
 
     def __init__(self, params: EnsembleParams, kinds,
                  tree_params: TreeParams | None = None, learner_factory=None):
@@ -131,12 +136,8 @@ class BoostedEnsemble:
     def score(self, features) -> float:
         """Ensemble confidence for the positive class, in [0, 1]."""
         total = 0.0
-        if self.params.hard_votes:
-            for learner in self.learners:
-                total += 1.0 if learner.predict_margin(features) >= 0.0 else -1.0
-        else:
-            for learner in self.learners:
-                total += learner.predict_margin(features)
+        for learner in self.learners:
+            total += learner.predict_margin(features)
         return (1.0 + total / len(self.learners)) / 2.0
 
     def predict(self, features, group: bool) -> int:
@@ -162,14 +163,10 @@ class BoostedEnsemble:
         if adjust:
             pos_div = max(1.0 + ocis, _DIVISOR_FLOOR)
             neg_div = max(1.0 - ocis, _DIVISOR_FLOOR)
-        hard = p.hard_votes
         w = 1.0
         q = 0.0
         for learner in self.learners:
-            learner.train_weighted(features, label, w)
-            h = learner.predict_margin(features)
-            if hard:
-                h = 1.0 if h >= 0.0 else -1.0
+            h = learner.train_weighted(features, label, w)
             q += label * h - drift
             w = base ** (q * 0.5)
             if w > 1.0:

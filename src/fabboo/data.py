@@ -9,6 +9,7 @@ order; the protected attribute is one of the categorical feature columns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -112,7 +113,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Parse a comma-separated UTF-8 file (header row first) against `schema`.
 
     Rows are checked strictly: every schema column must be present, tokens
-    in numeric columns must parse as floats, categorical tokens must belong
+    in numeric columns must parse as finite floats (no nan or inf, and no
+    literal that overflows to inf), categorical tokens must belong
     to the declared alphabet, and missing (empty) values are rejected.
     Row numbers in error messages count data rows from 1.
     """
@@ -147,11 +149,16 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     raise DataError(f"{path}: missing value at row {rownum}, column {a.name!r}")
                 if a.kind == "num":
                     try:
-                        feats.append(float(token))
+                        value = float(token)
                     except ValueError:
                         raise DataError(
                             f"{path}: non-numeric value {token!r} at row {rownum}, "
                             f"column {a.name!r}")
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: non-finite value {token!r} at row {rownum}, "
+                            f"column {a.name!r}")
+                    feats.append(value)
                 else:
                     if token not in a.categories:
                         if a.name == schema.protected_attribute:

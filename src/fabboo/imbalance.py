@@ -26,7 +26,7 @@ from .data import POSITIVE
 
 
 class ImbalanceMonitor:
-    __slots__ = ("w_pos", "w_neg", "decay", "updates_seen")
+    __slots__ = ("w_pos", "w_neg", "decay")
 
     def __init__(self, decay: float = 0.9):
         if not 0.0 <= decay < 1.0:
@@ -34,7 +34,6 @@ class ImbalanceMonitor:
         self.decay = decay
         self.w_pos = 0.0
         self.w_neg = 0.0
-        self.updates_seen = 0
 
     def update(self, label: int) -> None:
         d = self.decay
@@ -45,7 +44,6 @@ class ImbalanceMonitor:
         else:
             self.w_pos = d * self.w_pos
             self.w_neg = d * self.w_neg + keep
-        self.updates_seen += 1
 
     def ocis(self) -> float:
         return self.w_pos - self.w_neg

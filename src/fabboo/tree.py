@@ -13,7 +13,11 @@ of its subtree. When that error climbs more than a few sigma above the best
 level seen (Bernoulli std of the decayed mean), a fresh alternate subtree
 starts growing beside the node; once the alternate has absorbed enough
 weight and beats the incumbent by a clear margin it replaces the subtree
-in place. Stationary data leaves the structure untouched.
+in place. Stationary data leaves the structure untouched. The warning
+threshold depends on the best level alone, so each node caches it in
+`warn_at` when that level drops (inf before warm-up). `train_weighted`
+returns the margin on the trained instance after the update, so a
+boosting pass walks each tree once.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class TreeParams:
 class _Node:
     __slots__ = ("split_attr", "threshold", "children", "cat_children",
                  "wp", "wn", "num_stats", "cat_stats", "weight_since",
-                 "err", "err_min", "warm", "seen_w", "alt")
+                 "err", "err_min", "warn_at", "warm", "seen_w", "alt")
 
     def __init__(self, n_numeric: int, n_categorical: int):
         self.split_attr = None
@@ -63,13 +67,15 @@ class _Node:
         self.cat_children = None
         self.wp = 0.0
         self.wn = 0.0
-        # per numeric attr: [W+, mean+, M2+, W-, mean-, M2-]
-        self.num_stats = [[0.0] * 6 for _ in range(n_numeric)]
+        # per numeric attr: [mean+, M2+, mean-, M2-]; the class weights
+        # are wp and wn, which every attribute shares
+        self.num_stats = [[0.0] * 4 for _ in range(n_numeric)]
         # per categorical attr: value -> [w+, w-]
         self.cat_stats = [dict() for _ in range(n_categorical)]
         self.weight_since = 0.0
         self.err = 0.0
         self.err_min = math.inf
+        self.warn_at = math.inf  # warning threshold implied by err_min
         self.warm = 1.0   # decay**seen_weight, for bias correction
         self.seen_w = 0.0
         self.alt = None
@@ -107,38 +113,46 @@ class HoeffdingTree:
         self.cat_idx = tuple(i for i, k in enumerate(self.kinds) if k == "cat")
         if len(self.numeric_idx) + len(self.cat_idx) != len(self.kinds):
             raise DataError("attribute kinds must be 'num' or 'cat'")
-        # slot of each attribute inside the per-kind stat lists
-        self._slot = {}
-        for s, i in enumerate(self.numeric_idx):
-            self._slot[i] = s
-        for s, i in enumerate(self.cat_idx):
-            self._slot[i] = s
         self.root = self._new_leaf()
         self.replacements = 0
+        p = self.params
         nd = NormalDist()
-        k = self.params.split_candidates
+        k = p.split_candidates
         self._quantile_z = tuple(nd.inv_cdf((i + 1) / (k + 1)) for i in range(k))
-        self._ln_inv_delta = math.log(1.0 / self.params.split_confidence)
+        self._ln_inv_delta = math.log(1.0 / p.split_confidence)
+        self._adaptive = p.adaptive
+        self._warmup = p.drift_warmup
+        self._decay = p.drift_decay
+        self._warn_sigmas = p.warn_sigmas
+        self._grace = p.grace_weight
+        self._alt_min = p.alt_min_weight
 
     def _new_leaf(self) -> _Node:
         return _Node(len(self.numeric_idx), len(self.cat_idx))
 
     # ------------------------------------------------------------------ train
 
-    def train_weighted(self, x, label: int, weight: float) -> None:
+    def train_weighted(self, x, label: int, weight: float) -> float:
+        """Learn (x, label) with `weight`; returns predict_margin(x) after
+        the update: the trained leaf's margin, or a fresh walk when that
+        leaf split or an alternate replaced a node on its path."""
         if weight < 0.0:
             raise ValueError("weight must be >= 0")
-        if weight == 0.0:
-            return
         if len(x) != len(self.kinds):
             raise DataError(f"expected {len(self.kinds)} attributes, got {len(x)}")
-        aw = self.params.drift_decay ** weight if self.params.adaptive else 1.0
-        self._train_subtree(self.root, x, label, weight, aw,
-                            allow_alts=self.params.adaptive)
+        if weight == 0.0:
+            return self.predict_margin(x)
+        aw = self._decay ** weight if self._adaptive else 1.0
+        leaf = self._train_subtree(self.root, x, label, weight, aw,
+                                   allow_alts=self._adaptive)
+        if leaf is None or leaf.split_attr is not None:
+            return self.predict_margin(x)
+        return (leaf.wp - leaf.wn) / (leaf.wp + leaf.wn + 2.0)
 
-    def _train_subtree(self, node, x, label, w, aw, allow_alts) -> None:
-        adaptive = self.params.adaptive
-        path = [node] if adaptive else None
+    def _train_subtree(self, node, x, label, w, aw, allow_alts):
+        """Learn (x, label) at its leaf under `node`; returns that leaf, or
+        None when an alternate replaced a node on the path."""
+        path = [node]
         n = node
         while n.split_attr is not None:
             v = x[n.split_attr]
@@ -150,61 +164,68 @@ class HoeffdingTree:
                     child = self._new_leaf()
                     n.cat_children[v] = child
                 n = child
-            if adaptive:
-                path.append(n)
+            path.append(n)
         leaf = n
 
-        if adaptive:
+        if self._adaptive:
+            # alternates share no node with this tree: they may train first
             correct = (leaf.wp >= leaf.wn) == (label == POSITIVE)
-            errbit = 0.0 if correct else 1.0
-            keep = 1.0 - aw
-            warmup = self.params.drift_warmup
+            inc = 0.0 if correct else 1.0 - aw
+            warmup = self._warmup
             for nd in path:
-                nd.err = aw * nd.err + keep * errbit
+                nd.err = err = aw * nd.err + inc
                 nd.warm *= aw
                 nd.seen_w += w
-                if nd.seen_w >= warmup and nd.err < nd.err_min:
-                    nd.err_min = nd.err
+                if nd.seen_w >= warmup and err < nd.err_min:
+                    nd.err_min = err
+                    d = self._decay
+                    nd.warn_at = err + self._warn_sigmas * math.sqrt(
+                        max(err * (1.0 - err), 0.0025) * (1.0 - d) / (1.0 + d))
+                if not allow_alts:
+                    continue
+                alt = nd.alt
+                if alt is None:
+                    if err > nd.warn_at:
+                        nd.alt = self._new_leaf()
+                elif err <= nd.warn_at:
+                    # the anomaly that spawned the alternate has subsided
+                    nd.alt = None
+                else:
+                    self._train_subtree(alt, x, label, w, aw, allow_alts=False)
+                    if alt.seen_w >= self._alt_min and self._resolve_alternate(nd):
+                        return None  # the rest of the path, leaf included, is gone
 
         # leaf statistics
         pos = label == POSITIVE
         if pos:
             leaf.wp += w
+            r = w / leaf.wp
+            m, s2 = 0, 1
         else:
             leaf.wn += w
-        off = 0 if pos else 3
-        num_stats = leaf.num_stats
-        for s, i in enumerate(self.numeric_idx):
-            st = num_stats[s]
+            r = w / leaf.wn
+            m, s2 = 2, 3
+        for st, i in zip(leaf.num_stats, self.numeric_idx):
             xv = x[i]
-            nw = st[off] + w
-            st[off] = nw
-            delta = xv - st[off + 1]
-            st[off + 1] += (w / nw) * delta
-            st[off + 2] += w * delta * (xv - st[off + 1])
-        cat_stats = leaf.cat_stats
-        for s, i in enumerate(self.cat_idx):
-            d = cat_stats[s]
-            cell = d.get(x[i])
+            mean = st[m]
+            delta = xv - mean
+            mean += r * delta
+            st[m] = mean
+            st[s2] += w * delta * (xv - mean)
+        for d, i in zip(leaf.cat_stats, self.cat_idx):
+            v = x[i]
+            cell = d.get(v)
             if cell is None:
-                d[x[i]] = [w, 0.0] if pos else [0.0, w]
+                d[v] = [w, 0.0] if pos else [0.0, w]
             else:
                 cell[0 if pos else 1] += w
 
         leaf.weight_since += w
-        if leaf.weight_since >= self.params.grace_weight:
+        if leaf.weight_since >= self._grace:
             leaf.weight_since = 0.0
             self._attempt_split(leaf)
 
-        if allow_alts:
-            for nd in path:
-                if nd.alt is None:
-                    if self._warning(nd):
-                        nd.alt = self._new_leaf()
-                else:
-                    self._train_subtree(nd.alt, x, label, w, aw, allow_alts=False)
-                    if self._resolve_alternate(nd):
-                        break  # subtree replaced; deeper path nodes are gone
+        return leaf
 
     # ---------------------------------------------------------------- splits
 
@@ -218,20 +239,20 @@ class HoeffdingTree:
         second_gain = 0.0
         best_attr = -1
         best_threshold = 0.0
-        best_is_numeric = True
+        best_cats = None   # value tallies of the best attribute if categorical
 
-        for s, i in enumerate(self.numeric_idx):
-            g, thr = self._best_numeric_split(leaf.num_stats[s], total, h0)
+        for st, i in zip(leaf.num_stats, self.numeric_idx):
+            g, thr = self._best_numeric_split(st, wp, wn, total, h0)
             if g > best_gain:
                 second_gain = best_gain
-                best_gain, best_attr, best_threshold, best_is_numeric = g, i, thr, True
+                best_gain, best_attr, best_threshold = g, i, thr
             elif g > second_gain:
                 second_gain = g
-        for s, i in enumerate(self.cat_idx):
-            g = self._categorical_gain(leaf.cat_stats[s], total, h0)
+        for d, i in zip(leaf.cat_stats, self.cat_idx):
+            g = self._categorical_gain(d, total, h0)
             if g > best_gain:
                 second_gain = best_gain
-                best_gain, best_attr, best_is_numeric = g, i, False
+                best_gain, best_attr, best_cats = g, i, d
             elif g > second_gain:
                 second_gain = g
 
@@ -240,18 +261,17 @@ class HoeffdingTree:
         bound = math.sqrt(self._ln_inv_delta / (2.0 * total))
         if best_gain - second_gain > bound or bound < self.params.tie_threshold:
             leaf.split_attr = best_attr
-            if best_is_numeric:
+            if best_cats is None:
                 leaf.threshold = best_threshold
                 leaf.children = [self._new_leaf(), self._new_leaf()]
             else:
                 leaf.threshold = None
-                values = leaf.cat_stats[self._slot[best_attr]].keys()
-                leaf.cat_children = {v: self._new_leaf() for v in values}
+                leaf.cat_children = {v: self._new_leaf() for v in best_cats}
             leaf.num_stats = None
             leaf.cat_stats = None
 
-    def _best_numeric_split(self, st, total, h0):
-        wp, mp, m2p, wn, mn, m2n = st
+    def _best_numeric_split(self, st, wp, wn, total, h0):
+        mp, m2p, mn, m2n = st
         mean = (wp * mp + wn * mn) / total
         ex2 = (wp * (m2p / wp + mp * mp) if wp > 0.0 else 0.0) + \
               (wn * (m2n / wn + mn * mn) if wn > 0.0 else 0.0)
@@ -294,22 +314,10 @@ class HoeffdingTree:
 
     # ----------------------------------------------------------------- drift
 
-    def _warning(self, nd) -> bool:
-        if nd.seen_w < self.params.drift_warmup or nd.err_min is math.inf:
-            return False
-        em = nd.err_min
-        d = self.params.drift_decay
-        var = max(em * (1.0 - em), 0.0025) * (1.0 - d) / (1.0 + d)
-        return nd.err > em + self.params.warn_sigmas * math.sqrt(var)
-
     def _resolve_alternate(self, nd) -> bool:
+        """Promote or discard the alternate of `nd`, still under warning
+        and past alt_min_weight; True when it replaced the subtree."""
         alt = nd.alt
-        if not self._warning(nd):
-            # the anomaly that spawned the alternate has subsided
-            nd.alt = None
-            return False
-        if alt.seen_w < self.params.alt_min_weight:
-            return False
         main_err = nd.corrected_err()
         alt_err = alt.corrected_err()
         # the advantage must clear both the flat margin and the combined
@@ -331,7 +339,7 @@ class HoeffdingTree:
             nd.cat_stats = alt.cat_stats
             nd.weight_since = alt.weight_since
             nd.err, nd.warm, nd.seen_w = alt.err, alt.warm, alt.seen_w
-            nd.err_min = math.inf
+            nd.err_min = nd.warn_at = math.inf
             nd.alt = None
             self.replacements += 1
             return True
@@ -376,16 +384,3 @@ class HoeffdingTree:
 
         walk(self.root, 0, "")
         return "\n".join(lines)
-
-
-class TreeClassifier:
-    """A single tree exposed through the online-classifier protocol."""
-
-    def __init__(self, kinds, params: TreeParams | None = None):
-        self.tree = HoeffdingTree(kinds, params)
-
-    def predict(self, features, group: bool) -> int:
-        return POSITIVE if self.tree.predict_margin(features) >= 0.0 else -1
-
-    def learn(self, features, group: bool, label: int, predicted: int) -> None:
-        self.tree.train_weighted(features, label, 1.0)

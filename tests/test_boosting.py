@@ -22,6 +22,7 @@ class StubLearner:
 
     def train_weighted(self, x, label, weight):
         self.weights.append(weight)
+        return self.margin
 
     def predict_margin(self, x):
         return self.margin

@@ -162,6 +162,18 @@ def test_malformed_data_exits_3(tmp_path):
     assert main(["run", "--config", str(cfg_file)]) == 3
 
 
+def test_non_finite_data_exits_3(tmp_path, capsys):
+    bad = tmp_path / "d.csv"
+    bad.write_text("age,sex,y\n31,F,good\n1e999,M,bad\n", encoding="utf-8")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=bad, out=tmp_path / "out"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file)]) == 3
+    assert "non-finite value '1e999' at row 2, column 'age'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_overrides_beat_config(tmp_path):
     data = write_dataset(tmp_path)
     cfg_file = tmp_path / "exp.cfg"

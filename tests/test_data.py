@@ -59,6 +59,14 @@ def test_non_numeric_token(tmp_path, schema):
         load_csv(p, schema)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_non_finite_token_rejected(tmp_path, schema, token):
+    p = write(tmp_path, f"age,sex,y\n31,F,good\n{token},M,bad\n")
+    with pytest.raises(DataError,
+                       match=f"non-finite value '{token}' at row 2, column 'age'"):
+        load_csv(p, schema)
+
+
 def test_unmapped_label(tmp_path, schema):
     p = write(tmp_path, "age,sex,y\n31,F,excellent\n")
     with pytest.raises(DataError, match="unmapped label value at row 1"):

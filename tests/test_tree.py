@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabboo import HoeffdingTree, TreeParams
 from fabboo.data import POSITIVE, NEGATIVE
@@ -227,3 +228,77 @@ def test_flip_recovery_beats_frozen_adaptation():
     # the 1-D concept is easy to relearn even frozen, so the gap is modest
     # here; the windowed recovery property runs at full scale in acceptance
     assert acc_adaptive > acc_frozen + 0.05
+
+
+# ------------------------------------------- single-walk return and warn_at
+
+# small grace, warm-up and alternate weights, so that short streams cross
+# splits, warnings and promotions
+FAST = dict(grace_weight=20.0, tie_threshold=0.2, drift_decay=0.95,
+            drift_warmup=20.0, alt_min_weight=30.0, alt_discard_weight=300.0)
+MIXED = ("num", "cat")
+
+
+def mixed_stream(seed, n, flip_at, zero_share):
+    """(x, label, w) over (num, cat): the label is x >= 0 xor cat == "a",
+    inverted from arrival `flip_at` on. The categorical alphabet grows along
+    the stream, so late values are unseen by earlier splits; a `zero_share`
+    of the weights is 0."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(n):
+        x = rng.gauss(0.0, 1.0)
+        c = "abcdefgh"[rng.randrange(2 + 6 * t // n)]
+        y = POSITIVE if (x >= 0.0) != (c == "a") else NEGATIVE
+        if t >= flip_at:
+            y = -y
+        w = 0.0 if rng.random() < zero_share else rng.choice((0.5, 1.0, 3.0))
+        out.append(((x, c), y, w))
+    return out
+
+
+def all_nodes(n):
+    yield n
+    if n.alt is not None:
+        yield from all_nodes(n.alt)
+    kids = n.children or (n.cat_children.values() if n.cat_children else ())
+    for k in kids:
+        yield from all_nodes(k)
+
+
+def closed_form_warn_at(em, p):
+    if em == math.inf:
+        return math.inf
+    d = p.drift_decay
+    return em + p.warn_sigmas * math.sqrt(
+        max(em * (1.0 - em), 0.0025) * (1.0 - d) / (1.0 + d))
+
+
+def check_stream(tree, stream):
+    """Train on `stream`; after every step the returned margin must be
+    predict_margin(x) bit for bit, also on an unseen categorical value,
+    and every node's warn_at must be the closed form of its err_min."""
+    for x, y, w in stream:
+        h = tree.train_weighted(x, y, w)
+        assert h == tree.predict_margin(x)
+        novel = (x[0], "zz")
+        assert tree.train_weighted(novel, y, 0.0) == tree.predict_margin(novel)
+        for nd in all_nodes(tree.root):
+            assert nd.warn_at == closed_form_warn_at(nd.err_min, tree.params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 1200),
+       flip=st.floats(0.0, 1.0), zero_share=st.sampled_from((0.0, 0.2)),
+       adaptive=st.booleans())
+def test_train_weighted_returns_post_update_margin(seed, n, flip, zero_share,
+                                                   adaptive):
+    tree = HoeffdingTree(MIXED, TreeParams(adaptive=adaptive, **FAST))
+    check_stream(tree, mixed_stream(seed, n, int(flip * n), zero_share))
+
+
+def test_checked_stream_crosses_splits_and_promotions():
+    tree = HoeffdingTree(MIXED, TreeParams(**FAST))
+    check_stream(tree, mixed_stream(7, 3000, 1500, 0.1))
+    assert tree.root.split_attr is not None
+    assert tree.replacements > 0
