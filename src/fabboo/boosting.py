@@ -211,7 +211,8 @@ class BoostedEnsemble:
         self.theta = theta
 
 
-_METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")
+METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")
+FAIRNESS_METHODS = ("fabboo", "ofib", "cfbb")   # those that need a notion
 
 
 def method_params(method: str, notion: Notion | None, *, learners: int = 20,
@@ -224,12 +225,11 @@ def method_params(method: str, notion: Notion | None, *, learners: int = 20,
     fairness notion; ofib: fairness without imbalance adjustment; cfbb:
     fairness on a chunked (short-term) ledger; fabboo: the full method.
     """
-    if method not in _METHODS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    fairness_methods = ("fabboo", "ofib", "cfbb")
-    if method in fairness_methods and notion is None:
+    if method in FAIRNESS_METHODS and notion is None:
         raise ValueError(f"method {method!r} requires a fairness notion")
-    if method not in fairness_methods and notion is not None:
+    if method not in FAIRNESS_METHODS and notion is not None:
         raise ValueError(f"method {method!r} does not take a fairness notion")
     return EnsembleParams(
         learners=learners,

@@ -7,12 +7,14 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from .boosting import BoostedEnsemble, method_params
+from .boosting import METHODS, BoostedEnsemble, method_params
 from .config import (ConfigError, ExperimentConfig, config_to_text,
                      parse_config_file, parse_notion)
 from .data import DataError, load_csv, save_csv, shuffled, replay
@@ -34,6 +36,11 @@ _SWEEP_PARAMS = {
     "window": "window", "m": "window",
 }
 
+# a run's shuffles go to a process pool only when each has at least this
+# many arrivals: a fork pool takes milliseconds to start, which a shorter
+# shuffle does not repay
+_POOL_MIN_ARRIVALS = 1000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -50,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named synthetic stream")
         p.add_argument("--length", type=int, help="stream length override")
         p.add_argument("--order", choices=("shuffled", "stored"))
-        p.add_argument("--method", choices=("fabboo", "osboost", "ofib",
-                                            "cfbb", "imbalance_only"))
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--fairness", help="sp | eqop | peq | none")
         p.add_argument("--learners", type=int, help="ensemble size N")
         p.add_argument("--gamma", type=float, help="boosting edge parameter")
@@ -125,36 +131,106 @@ def build_model(cfg: ExperimentConfig, kinds) -> BoostedEnsemble:
 
 
 def build_sources(cfg: ExperimentConfig):
-    """Yield (shuffle_index, kinds, instance iterable) per shuffle.
+    """(kinds, arrivals per shuffle, source) for a run, where source(i)
+    returns shuffle i's instances. A CSV dataset is loaded here, once.
 
     Shuffle i uses seed = base seed + i regardless of method, so paired
     method comparisons see identical instance orders.
     """
     if cfg.source_kind == "csv":
         dataset = load_csv(cfg.csv_path, cfg.schema)
-        kinds = cfg.schema.kinds()
-        for i in range(cfg.shuffles):
+
+        def source(i):
             if cfg.order == "stored":
-                yield i, kinds, replay(dataset)
-            else:
-                yield i, kinds, shuffled(dataset, cfg.seed + i)
-        return
+                return replay(dataset)
+            return shuffled(dataset, cfg.seed + i)
+
+        return cfg.schema.kinds(), len(dataset), source
     gen = preset(cfg.preset_name) if cfg.source_kind == "preset" else cfg.generator
     if cfg.length is not None:
         gen = with_overrides(gen, length=cfg.length)
-    kinds = gen.schema().kinds()
-    for i in range(cfg.shuffles):
-        yield i, kinds, generate(with_overrides(gen, seed=cfg.seed + i))
+    return (gen.schema().kinds(), gen.length,
+            lambda i: generate(with_overrides(gen, seed=cfg.seed + i)))
+
+
+def _mean_std(summaries: list[Summary], key: str) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for one shuffle) of `key`."""
+    values = [getattr(s, key) for s in summaries]
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    return statistics.fmean(values), std
 
 
 def aggregate_text(summaries: list[Summary]) -> str:
     lines = [f"shuffles = {len(summaries)}"]
     for key in _AGGREGATED:
-        values = [getattr(s, key) for s in summaries]
-        mean = statistics.fmean(values)
-        std = statistics.stdev(values) if len(values) > 1 else 0.0
+        mean, std = _mean_std(summaries, key)
         lines.append(f"{key} = {mean:.6f} ± {std:.6f}")
     return "\n".join(lines) + "\n"
+
+
+def _run_shuffle(cfg: ExperimentConfig, eval_cfg: EvalConfig, kinds, source,
+                 i: int) -> Summary:
+    """Evaluate shuffle i and write its trace and summary."""
+    model = build_model(cfg, kinds)
+    trace, summary = run_prequential(model, source(i), eval_cfg)
+    run_dir = Path(cfg.out_dir) / f"shuffle-{i:02d}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_trace(run_dir / "trace.csv", trace)
+    (run_dir / "summary.txt").write_text(summary.to_text(), encoding="utf-8")
+    return summary
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_inherited_shuffle = None   # a pool helper's shuffle(i), set when it starts
+
+
+def _inherit(shuffle) -> None:
+    global _inherited_shuffle
+    _inherited_shuffle = shuffle
+
+
+def _helper_shuffle(i: int) -> Summary:
+    return _inherited_shuffle(i)
+
+
+def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
+    """shuffle(i) for every i, in shuffle order.
+
+    With two or more usable CPUs, a fork start method, no other thread in
+    this process and at least _POOL_MIN_ARRIVALS arrivals per shuffle,
+    the shuffles run on up to that many processes: this one runs the
+    first share itself while forked helpers, which inherit `shuffle` and
+    its data, run the rest. Only shuffle indices and summaries cross
+    between processes, and a helper's exception is raised here. Otherwise
+    they run one by one. Forking, unlike spawning, needs no fresh import
+    or pickled dataset per helper; it copies every lock but no thread,
+    hence the single-thread condition.
+    """
+    workers = min(shuffles, _usable_cpus())
+    if workers > 1 and arrivals >= _POOL_MIN_ARRIVALS:
+        import multiprocessing
+        import threading
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            from concurrent.futures import ProcessPoolExecutor
+            own = -(-shuffles // workers)   # ceil(shuffles / workers)
+            pool = ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_inherit, initargs=(shuffle,))
+            try:
+                helped = [pool.submit(_helper_shuffle, i)
+                          for i in range(own, shuffles)]
+                summaries = [shuffle(i) for i in range(own)]
+                return summaries + [f.result() for f in helped]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [shuffle(i) for i in range(shuffles)]
 
 
 def execute_run(cfg: ExperimentConfig) -> list[Summary]:
@@ -165,15 +241,9 @@ def execute_run(cfg: ExperimentConfig) -> list[Summary]:
     eval_cfg = EvalConfig(stride=cfg.stride,
                           trace_notion=cfg.notion or Notion.SP,
                           decay=cfg.decay, smoothing=cfg.smoothing)
-    summaries = []
-    for i, kinds, source in build_sources(cfg):
-        model = build_model(cfg, kinds)
-        trace, summary = run_prequential(model, source, eval_cfg)
-        run_dir = out_root / f"shuffle-{i:02d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_trace(run_dir / "trace.csv", trace)
-        (run_dir / "summary.txt").write_text(summary.to_text(), encoding="utf-8")
-        summaries.append(summary)
+    kinds, arrivals, source = build_sources(cfg)
+    shuffle = partial(_run_shuffle, cfg, eval_cfg, kinds, source)
+    summaries = _run_shuffles(shuffle, cfg.shuffles, arrivals)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "aggregate.txt").write_text(aggregate_text(summaries),
                                             encoding="utf-8")
@@ -199,9 +269,7 @@ def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
         summaries = execute_run(sub_cfg)
         cells = [f"{raw}"]
         for key in _AGGREGATED:
-            vals = [getattr(s, key) for s in summaries]
-            mean = statistics.fmean(vals)
-            std = statistics.stdev(vals) if len(vals) > 1 else 0.0
+            mean, std = _mean_std(summaries, key)
             cells.append(f"{mean:.4f}±{std:.4f}")
         rows.append(cells)
     header = [param] + list(_AGGREGATED)

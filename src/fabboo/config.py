@@ -44,13 +44,11 @@ import configparser
 import io
 from dataclasses import dataclass, replace
 
+from .boosting import FAIRNESS_METHODS, METHODS
 from .data import AttributeSpec, DatasetSchema, DataError
 from .fairness import Notion
 from .generators import (DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule,
                          preset)
-
-METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")
-FAIRNESS_METHODS = ("fabboo", "ofib", "cfbb")
 
 
 class ConfigError(Exception):

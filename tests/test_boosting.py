@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabboo import (BoostedEnsemble, BoundaryWindow, EnsembleParams, Notion,
                     method_params)
@@ -184,6 +185,37 @@ def test_window_fifo_eviction():
     assert len(w) == 3
     assert [seq for _, seq in w.entries()] == [1, 2, 3]
     assert w.kth_highest(1) == 0.7  # the 0.9 entry was evicted
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 8), steps=st.lists(st.tuples(
+    st.booleans(), st.integers(1, 12),
+    st.sampled_from((0.1, 0.25, 0.5)) | st.floats(0.0, 1.0)), max_size=60))
+def test_window_matches_list_model(capacity, steps):
+    """Random push/expire sequences with increasing seq against a plain
+    list: the same entries in arrival order, and the k-th highest
+    confidence for every k, the highest when fewer than k are held."""
+    w = BoundaryWindow(capacity)
+    model = []
+    seq = 0
+    for push, gap, conf in steps:
+        seq += gap
+        model = [(c, s) for c, s in model if s > seq - capacity]
+        if push:
+            w.push(conf, seq)
+            model.append((conf, seq))
+        else:
+            w.expire(seq)
+        assert len(w) == len(model)
+        assert w.entries() == model
+        ranked = sorted((c for c, _ in model), reverse=True)
+        for k in range(1, capacity + 2):
+            if not ranked:
+                with pytest.raises(IndexError):
+                    w.kth_highest(k)
+            else:
+                want = ranked[k - 1] if k <= len(ranked) else ranked[0]
+                assert w.kth_highest(k) == want
 
 
 # ----------------------------------------------------- observe-and-adjust

@@ -1,11 +1,18 @@
 """Config parsing/round-trip, validity rules and the CLI surface."""
 
+import ast
+import concurrent.futures
+import os
+import threading
+
 import pytest
 
 from fabboo import Notion, parse_config_text, config_to_text
+from fabboo import cli
 from fabboo.cli import main
 from fabboo.config import ConfigError, ExperimentConfig
-from fabboo.prequential import TRACE_HEADER
+from fabboo.data import DataError
+from fabboo.prequential import TRACE_HEADER, Summary
 
 CSV_CONFIG = """
 [source]
@@ -108,13 +115,13 @@ def test_stored_order_forbids_multiple_shuffles(tmp_path):
 
 # ----------------------------------------------------------------- the CLI
 
-def write_dataset(tmp_path):
-    rows = ["age,sex,y"]
-    for i in range(60):
-        rows.append(f"{20 + i % 40},{'F' if i % 3 == 0 else 'M'},"
-                    f"{'good' if (i * 7) % 10 < 4 else 'bad'}")
+def write_dataset(tmp_path, rows=60):
+    lines = ["age,sex,y"]
+    for i in range(rows):
+        lines.append(f"{20 + i % 40},{'F' if i % 3 == 0 else 'M'},"
+                     f"{'good' if (i * 7) % 10 < 4 else 'bad'}")
     p = tmp_path / "d.csv"
-    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return p
 
 
@@ -233,6 +240,121 @@ def test_sweep_empty_values_rejected(tmp_path):
                         encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_file), "--param", "lambda",
                  "--values", " , "]) == 2
+
+
+# ------------------------------------------------------- parallel shuffles
+
+POOLED_ROWS = cli._POOL_MIN_ARRIVALS + 200
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two usable CPUs, whatever the machine has; lists the helper count
+    of every process pool the CLI starts."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    return started
+
+
+def source_argv(tmp_path, kind):
+    """`fabboo run` arguments for a CSV or a preset source of POOLED_ROWS
+    arrivals, N=2, stride 1; --seed, --shuffles and --out follow."""
+    if kind == "preset":
+        return ["run", "--preset", "ratio_fixed", "--length",
+                str(POOLED_ROWS), "--learners", "2", "--stride", "1"]
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(
+        path=write_dataset(tmp_path, POOLED_ROWS), out=tmp_path / "unused"),
+        encoding="utf-8")
+    return ["run", "--config", str(cfg_file), "--learners", "2"]
+
+
+def without_wall_s(text):
+    return [l for l in text.splitlines() if not l.startswith("wall_s")]
+
+
+@pytest.mark.parametrize("kind", ["csv", "preset"])
+def test_pooled_shuffles_match_serial_runs(tmp_path, pools, kind):
+    argv = source_argv(tmp_path, kind)
+    pooled = tmp_path / "pooled"
+    assert main(argv + ["--seed", "5", "--shuffles", "3",
+                        "--out", str(pooled)]) == 0
+    assert pools == [1]   # one helper next to the parent
+    summaries = []
+    for i in range(3):
+        serial = tmp_path / f"serial-{i}"
+        assert main(argv + ["--seed", str(5 + i), "--shuffles", "1",
+                            "--out", str(serial)]) == 0
+        want, got = serial / "shuffle-00", pooled / f"shuffle-{i:02d}"
+        assert (got / "trace.csv").read_bytes() == \
+            (want / "trace.csv").read_bytes()
+        text = (want / "summary.txt").read_text(encoding="utf-8")
+        assert without_wall_s((got / "summary.txt").read_text(
+            encoding="utf-8")) == without_wall_s(text)
+        summaries.append(Summary(**{
+            k: ast.literal_eval(v) for k, _, v in
+            (line.partition(" = ") for line in text.splitlines())}))
+    assert pools == [1]   # the one-shuffle runs stayed serial
+    assert without_wall_s((pooled / "aggregate.txt").read_text(
+        encoding="utf-8")) == without_wall_s(cli.aggregate_text(summaries))
+
+
+@pytest.mark.parametrize("rows, other_thread", [(60, False),
+                                                 (POOLED_ROWS, True)])
+def test_short_or_threaded_run_starts_no_pool(tmp_path, monkeypatch, rows,
+                                              other_thread):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
+                                          out=tmp_path / "out"),
+                        encoding="utf-8")
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(30,))
+    if other_thread:
+        waiter.start()
+    try:
+        assert main(["run", "--config", str(cfg_file),
+                     "--shuffles", "3"]) == 0
+    finally:
+        stop.set()
+        if other_thread:
+            waiter.join(5)
+    assert not waiter.is_alive()
+    assert (tmp_path / "out" / "shuffle-02" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (DataError("bad row in a helper"), 3, "data error"),
+    (RuntimeError("a helper failed"), 1, "error"),
+])
+def test_helper_failure_sets_exit_code(tmp_path, monkeypatch, capsys, pools,
+                                       error, code, prefix):
+    parent, evaluate = os.getpid(), cli.run_prequential
+
+    def fail_in_helper(*args):
+        if os.getpid() != parent:
+            raise error
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "run_prequential", fail_in_helper)
+    argv = source_argv(tmp_path, "csv")
+    assert main(argv + ["--shuffles", "3", "--out",
+                        str(tmp_path / "out")]) == code
+    assert pools == [1]
+    assert f"{prefix}: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "aggregate.txt").exists()
 
 
 def test_export_round_trip(tmp_path):
