@@ -4,8 +4,8 @@ from .boosting import (BoostedEnsemble, BoundaryWindow, EnsembleParams,
                        method_params)
 from .config import ConfigError, ExperimentConfig, config_to_text, \
     parse_config_file, parse_config_text
-from .data import (AttributeSpec, Dataset, DataError, DatasetSchema, Instance,
-                   NEGATIVE, POSITIVE, load_csv, replay, save_csv, shuffled)
+from .data import (AttributeSpec, DataError, DatasetSchema, Instance, NEGATIVE,
+                   POSITIVE, load_csv, save_csv, shuffled)
 from .fairness import FairnessLedger, Notion, UndefinedRateError
 from .generators import (DriftEvent, GeneratorConfig, GeneratorError,
                          PRESET_NAMES, Schedule, generate, preset,
@@ -21,13 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeSpec", "BoostedEnsemble", "BoundaryWindow", "ConfigError",
-    "ConfusionCounts", "Dataset", "DataError", "DatasetSchema", "DriftEvent",
+    "ConfusionCounts", "DataError", "DatasetSchema", "DriftEvent",
     "EnsembleParams", "EvalConfig", "ExperimentConfig", "FairnessLedger",
     "GeneratorConfig", "GeneratorError", "HoeffdingTree", "ImbalanceMonitor",
     "Instance", "NEGATIVE", "Notion", "POSITIVE", "PRESET_NAMES", "Schedule",
     "Summary", "TraceRow", "TreeParams",
     "UndefinedRateError", "Xorshift64Star", "config_to_text", "generate",
     "load_csv", "method_params", "metrics", "parse_config_file",
-    "parse_config_text", "permutation", "preset", "replay", "run_prequential",
+    "parse_config_text", "permutation", "preset", "run_prequential",
     "save_csv", "shuffled", "with_overrides", "write_trace",
 ]

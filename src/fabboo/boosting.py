@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .data import POSITIVE, NEGATIVE
 from .fairness import FairnessLedger, Notion, UndefinedRateError
 from .imbalance import ImbalanceMonitor
-from .tree import HoeffdingTree, TreeParams
+from .tree import HoeffdingTree
 
 # divisor floor for (1 +/- ocis) on single-class stream prefixes
 _DIVISOR_FLOOR = 1e-3
@@ -51,13 +51,17 @@ class EnsembleParams:
 
     def __post_init__(self):
         if self.learners < 1:
-            raise ValueError("need at least one learner")
+            raise ValueError("learners must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError("lambda must be in [0, 1)")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        if self.window < 1:
-            raise ValueError("window capacity must be >= 1")
+        if self.smoothing < 0.0:
+            raise ValueError("smoothing must be >= 0")
 
 
 class BoundaryWindow:
@@ -117,19 +121,17 @@ class BoostedEnsemble:
     returns its margin on x after that update.
     """
 
-    def __init__(self, params: EnsembleParams, kinds,
-                 tree_params: TreeParams | None = None, learner_factory=None):
+    def __init__(self, params: EnsembleParams, kinds, learner_factory=None):
         self.params = params
         if learner_factory is None:
-            tp = tree_params or TreeParams()
-            learner_factory = lambda: HoeffdingTree(kinds, tp)
+            learner_factory = lambda: HoeffdingTree(kinds)
         self.learners = [learner_factory() for _ in range(params.learners)]
         self.theta = 0.5
         self.monitor = ImbalanceMonitor(params.decay)
         self.ledger = FairnessLedger(params.smoothing, params.chunk)
         self.window = BoundaryWindow(params.window)
         self._seq = 0
-        self._cached = None  # (features, score) from the last predict
+        self._score = 0.5   # score of the instance last predicted
 
     # ----------------------------------------------------------------- score
 
@@ -141,8 +143,7 @@ class BoostedEnsemble:
         return (1.0 + total / len(self.learners)) / 2.0
 
     def predict(self, features, group: bool) -> int:
-        s = self.score(features)
-        self._cached = (features, s)
+        s = self._score = self.score(features)
         notion = self.params.notion
         if group and notion is not None:
             if notion is Notion.PEQ:
@@ -176,23 +177,23 @@ class BoostedEnsemble:
 
     def learn(self, features, group: bool, label: int, predicted: int) -> None:
         """Full per-instance update: fairness bookkeeping, boundary
-        adjustment, imbalance update, then boosted training."""
+        adjustment, imbalance update, then boosted training.
+
+        Prequential protocol: `learn` follows `predict` on the same
+        instance, and `predicted` is what that call returned; the boundary
+        window reuses the score it computed."""
         self._seq += 1
         if self.params.notion is not None:
             self.ledger.record(group, label, predicted)
-            self._observe_and_adjust(features, group, label, predicted)
+            self._observe_and_adjust(group, label, predicted)
         self.monitor.update(label)
         self.train_instance(features, label, self.monitor.ocis())
 
-    def _observe_and_adjust(self, features, group, label, predicted) -> None:
+    def _observe_and_adjust(self, group, label, predicted) -> None:
         notion = self.params.notion
         self.window.expire(self._seq)
         if group:
-            cached = self._cached
-            if cached is not None and cached[0] is features:
-                s = cached[1]
-            else:
-                s = self.score(features)
+            s = self._score
             if notion is Notion.PEQ:
                 if label == NEGATIVE and predicted == POSITIVE:
                     self.window.push(1.0 - s, self._seq)
@@ -231,6 +232,8 @@ def method_params(method: str, notion: Notion | None, *, learners: int = 20,
         raise ValueError(f"method {method!r} requires a fairness notion")
     if method not in FAIRNESS_METHODS and notion is not None:
         raise ValueError(f"method {method!r} does not take a fairness notion")
+    if chunk_size < 1:
+        raise ValueError("chunk must be >= 1")
     return EnsembleParams(
         learners=learners,
         gamma=gamma,

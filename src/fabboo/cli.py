@@ -14,13 +14,12 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .boosting import METHODS, BoostedEnsemble, method_params
-from .config import (ConfigError, ExperimentConfig, config_to_text,
+from .boosting import METHODS, BoostedEnsemble
+from .config import (PARAMS, ConfigError, ExperimentConfig, config_to_text,
                      parse_config_file, parse_notion)
-from .data import DataError, load_csv, save_csv, shuffled, replay
-from .fairness import Notion
+from .data import DataError, load_csv, save_csv, shuffled
 from .generators import generate, preset, with_overrides
-from .prequential import EvalConfig, Summary, run_prequential, write_trace
+from .prequential import Summary, run_prequential, write_trace
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -59,18 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", choices=("shuffled", "stored"))
         p.add_argument("--method", choices=METHODS)
         p.add_argument("--fairness", help="sp | eqop | peq | none")
-        p.add_argument("--learners", type=int, help="ensemble size N")
-        p.add_argument("--gamma", type=float, help="boosting edge parameter")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="imbalance-monitor decay")
-        p.add_argument("--window", type=int, help="boundary window capacity M")
-        p.add_argument("--epsilon", type=float, help="discrimination tolerance")
-        p.add_argument("--smoothing", type=float,
-                       help="fairness denominator correction l")
-        p.add_argument("--chunk", type=int, help="chunk size (cfbb)")
-        p.add_argument("--shuffles", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--stride", type=int, help="trace row stride")
+        for _, key, field, conv, text in PARAMS:
+            p.add_argument(f"--{key}", dest=field, type=conv, help=text,
+                           metavar=key.upper())
         p.add_argument("--out", help="output directory")
 
     run_p = sub.add_parser("run", help="execute one experiment (all shuffles)")
@@ -109,25 +99,17 @@ def apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["method"] = args.method
     if args.fairness is not None:
         updates["notion"] = parse_notion(args.fairness)
-    for flag, attr in (("learners", "learners"), ("gamma", "gamma"),
-                       ("lam", "decay"), ("window", "window"),
-                       ("epsilon", "epsilon"), ("smoothing", "smoothing"),
-                       ("chunk", "chunk"), ("shuffles", "shuffles"),
-                       ("seed", "seed"), ("stride", "stride")):
-        value = getattr(args, flag)
+    for _, _, field, _, _ in PARAMS:
+        value = getattr(args, field)
         if value is not None:
-            updates[attr] = value
+            updates[field] = value
     if args.out:
         updates["out_dir"] = args.out
     return replace(cfg, **updates)
 
 
 def build_model(cfg: ExperimentConfig, kinds) -> BoostedEnsemble:
-    params = method_params(
-        cfg.method, cfg.notion, learners=cfg.learners, gamma=cfg.gamma,
-        decay=cfg.decay, window=cfg.window, epsilon=cfg.epsilon,
-        smoothing=cfg.smoothing, chunk_size=cfg.chunk)
-    return BoostedEnsemble(params, kinds)
+    return BoostedEnsemble(cfg.ensemble_params(), kinds)
 
 
 def build_sources(cfg: ExperimentConfig):
@@ -138,14 +120,14 @@ def build_sources(cfg: ExperimentConfig):
     method comparisons see identical instance orders.
     """
     if cfg.source_kind == "csv":
-        dataset = load_csv(cfg.csv_path, cfg.schema)
+        instances = load_csv(cfg.csv_path, cfg.schema)
 
         def source(i):
             if cfg.order == "stored":
-                return replay(dataset)
-            return shuffled(dataset, cfg.seed + i)
+                return instances
+            return shuffled(instances, cfg.seed + i)
 
-        return cfg.schema.kinds(), len(dataset), source
+        return cfg.schema.kinds(), len(instances), source
     gen = preset(cfg.preset_name) if cfg.source_kind == "preset" else cfg.generator
     if cfg.length is not None:
         gen = with_overrides(gen, length=cfg.length)
@@ -168,11 +150,10 @@ def aggregate_text(summaries: list[Summary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_shuffle(cfg: ExperimentConfig, eval_cfg: EvalConfig, kinds, source,
-                 i: int) -> Summary:
+def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int) -> Summary:
     """Evaluate shuffle i and write its trace and summary."""
     model = build_model(cfg, kinds)
-    trace, summary = run_prequential(model, source(i), eval_cfg)
+    trace, summary = run_prequential(model, source(i), cfg.eval_config())
     run_dir = Path(cfg.out_dir) / f"shuffle-{i:02d}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_trace(run_dir / "trace.csv", trace)
@@ -238,11 +219,8 @@ def execute_run(cfg: ExperimentConfig) -> list[Summary]:
     aggregate summary; returns the per-shuffle summaries."""
     cfg.validate()
     out_root = Path(cfg.out_dir)
-    eval_cfg = EvalConfig(stride=cfg.stride,
-                          trace_notion=cfg.notion or Notion.SP,
-                          decay=cfg.decay, smoothing=cfg.smoothing)
     kinds, arrivals, source = build_sources(cfg)
-    shuffle = partial(_run_shuffle, cfg, eval_cfg, kinds, source)
+    shuffle = partial(_run_shuffle, cfg, kinds, source)
     summaries = _run_shuffles(shuffle, cfg.shuffles, arrivals)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "aggregate.txt").write_text(aggregate_text(summaries),
@@ -256,7 +234,7 @@ def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     attr = _SWEEP_PARAMS[param]
-    conv = float if attr in ("decay",) else int
+    conv = next(type_ for _, _, field, type_, _ in PARAMS if field == attr)
     rows = []
     out_root = Path(cfg.out_dir)
     for raw in values:
@@ -306,13 +284,10 @@ def main(argv=None) -> int:
             table = execute_sweep(cfg, args.param, values)
             print(table, end="")
             return EXIT_OK
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as e:
+    except ValueError as e:   # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # runtime failure

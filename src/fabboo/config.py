@@ -44,15 +44,32 @@ import configparser
 import io
 from dataclasses import dataclass, replace
 
-from .boosting import FAIRNESS_METHODS, METHODS
+from .boosting import EnsembleParams, method_params
 from .data import AttributeSpec, DatasetSchema, DataError
 from .fairness import Notion
-from .generators import (DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule,
-                         preset)
+from .generators import DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule
+from .prequential import EvalConfig
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# (section, key, field, type, help) of each scalar run parameter, in
+# config-file order: parsing, serialisation and the run/sweep flags read it
+PARAMS = (
+    ("method", "learners", "learners", int, "ensemble size N"),
+    ("method", "gamma", "gamma", float, "boosting edge parameter"),
+    ("method", "lambda", "decay", float, "imbalance-monitor decay"),
+    ("method", "window", "window", int, "boundary window capacity M"),
+    ("method", "epsilon", "epsilon", float, "discrimination tolerance"),
+    ("method", "smoothing", "smoothing", float,
+     "fairness denominator correction l"),
+    ("method", "chunk", "chunk", int, "chunk size (cfbb)"),
+    ("run", "shuffles", "shuffles", int, None),
+    ("run", "seed", "seed", int, None),
+    ("run", "stride", "stride", int, "trace row stride"),
+)
 
 
 @dataclass(frozen=True)
@@ -78,32 +95,29 @@ class ExperimentConfig:
     stride: int = 100
     out_dir: str = "out"
 
+    def ensemble_params(self) -> EnsembleParams:
+        return method_params(
+            self.method, self.notion, learners=self.learners,
+            gamma=self.gamma, decay=self.decay, window=self.window,
+            epsilon=self.epsilon, smoothing=self.smoothing,
+            chunk_size=self.chunk)
+
+    def eval_config(self) -> EvalConfig:
+        return EvalConfig(stride=self.stride,
+                          trace_notion=self.notion or Notion.SP,
+                          decay=self.decay, smoothing=self.smoothing)
+
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.method in FAIRNESS_METHODS:
-            if self.notion is None:
-                raise ConfigError(f"method {self.method!r} needs fairness != none")
-        elif self.notion is not None:
-            raise ConfigError(f"method {self.method!r} requires fairness = none")
+        """Check the whole run before any data is read. The method and its
+        parameters are checked by the ensemble and evaluation types built
+        from them."""
+        try:
+            self.ensemble_params()
+            self.eval_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.shuffles < 1:
             raise ConfigError("shuffles must be >= 1")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.learners < 1:
-            raise ConfigError("learners must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("gamma must be in (0, 1)")
-        if not 0.0 <= self.decay < 1.0:
-            raise ConfigError("lambda must be in [0, 1)")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.epsilon < 0.0:
-            raise ConfigError("epsilon must be >= 0")
-        if self.smoothing < 0.0:
-            raise ConfigError("smoothing must be >= 0")
-        if self.chunk < 1:
-            raise ConfigError("chunk must be >= 1")
         if self.source_kind == "csv":
             if not self.csv_path or self.schema is None:
                 raise ConfigError("csv source needs path and schema")
@@ -269,26 +283,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             updates["method"] = m["method"]
         if "fairness" in m:
             updates["notion"] = parse_notion(m["fairness"])
-        for key, attr, conv in (("learners", "learners", int),
-                                ("gamma", "gamma", float),
-                                ("lambda", "decay", float),
-                                ("window", "window", int),
-                                ("epsilon", "epsilon", float),
-                                ("smoothing", "smoothing", float),
-                                ("chunk", "chunk", int)):
-            if key in m:
-                try:
-                    updates[attr] = conv(m[key])
-                except ValueError:
-                    raise ConfigError(f"bad value for {key!r}: {m[key]!r}")
-    if cp.has_section("run"):
-        r = cp["run"]
-        for key, conv in (("shuffles", int), ("seed", int), ("stride", int)):
-            if key in r:
-                try:
-                    updates[key] = conv(r[key])
-                except ValueError:
-                    raise ConfigError(f"bad value for {key!r}: {r[key]!r}")
+    for section, key, field, conv, _ in PARAMS:
+        if cp.has_option(section, key):
+            raw = cp[section][key]
+            try:
+                updates[field] = conv(raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {key!r}: {raw!r}")
     if cp.has_section("output") and "dir" in cp["output"]:
         updates["out_dir"] = cp["output"]["dir"]
     return replace(cfg, **updates)
@@ -343,17 +344,12 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     out.write("\n[method]\n")
     out.write(f"method = {cfg.method}\n")
     out.write(f"fairness = {cfg.notion.value if cfg.notion else 'none'}\n")
-    out.write(f"learners = {cfg.learners}\n")
-    out.write(f"gamma = {cfg.gamma!r}\n")
-    out.write(f"lambda = {cfg.decay!r}\n")
-    out.write(f"window = {cfg.window}\n")
-    out.write(f"epsilon = {cfg.epsilon!r}\n")
-    out.write(f"smoothing = {cfg.smoothing!r}\n")
-    out.write(f"chunk = {cfg.chunk}\n")
-    out.write("\n[run]\n")
-    out.write(f"shuffles = {cfg.shuffles}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"stride = {cfg.stride}\n")
+    section = "method"
+    for sec, key, field, _, _ in PARAMS:
+        if sec != section:
+            section = sec
+            out.write(f"\n[{section}]\n")
+        out.write(f"{key} = {getattr(cfg, field)!r}\n")
     out.write("\n[output]\n")
     out.write(f"dir = {cfg.out_dir}\n")
     return out.getvalue()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .rng import permutation
 
@@ -77,10 +77,6 @@ class DatasetSchema:
         return None
 
     @property
-    def arity(self) -> int:
-        return len(self.attributes)
-
-    @property
     def protected_index(self) -> int:
         return [a.name for a in self.attributes].index(self.protected_attribute)
 
@@ -95,22 +91,9 @@ class DatasetSchema:
         raise DataError("label alphabet has no negative value")
 
 
-class Dataset:
-    """In-memory ordered collection of instances plus its schema."""
-
-    def __init__(self, schema: DatasetSchema, instances: list[Instance]):
-        self.schema = schema
-        self.instances = instances
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def __iter__(self) -> Iterator[Instance]:
-        return iter(self.instances)
-
-
-def load_csv(path, schema: DatasetSchema) -> Dataset:
-    """Parse a comma-separated UTF-8 file (header row first) against `schema`.
+def load_csv(path, schema: DatasetSchema) -> list[Instance]:
+    """Parse a comma-separated UTF-8 file (header row first) against `schema`
+    into its instances, in file order.
 
     Rows are checked strictly: every schema column must be present, tokens
     in numeric columns must parse as finite floats (no nan or inf, and no
@@ -173,7 +156,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             label = POSITIVE if label_token == schema.positive_value else NEGATIVE
             group = feats[prot_idx] == schema.protected_value
             instances.append(Instance(tuple(feats), group, label, rownum))
-    return Dataset(schema, instances)
+    return instances
 
 
 def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None:
@@ -188,19 +171,14 @@ def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None
             writer.writerow(row)
 
 
-def shuffled(dataset: Dataset, seed: int) -> list[Instance]:
+def shuffled(instances: list[Instance], seed: int) -> list[Instance]:
     """Deterministic shuffle of a dataset: Fisher-Yates over the pinned
     xorshift64* generator; seq is reassigned 1..n in the new order."""
-    if len(dataset) == 0:
+    if not instances:
         raise DataError("cannot shuffle an empty dataset")
-    perm = permutation(len(dataset), seed)
+    perm = permutation(len(instances), seed)
     out = []
     for newpos, src in enumerate(perm, start=1):
-        inst = dataset.instances[src]
+        inst = instances[src]
         out.append(Instance(inst.features, inst.group, inst.label, newpos))
     return out
-
-
-def replay(dataset: Dataset) -> list[Instance]:
-    """Stream the dataset in stored (file) order."""
-    return list(dataset.instances)

@@ -145,10 +145,6 @@ class GeneratorConfig:
                     f"bias {b} infeasible for ratio {p} at t={t:g}: "
                     f"per-group rates ({a:.4f}, {abar:.4f}) leave [0,1]")
 
-    @property
-    def arity(self) -> int:
-        return len(self.pos_means) + 1  # numeric attributes + group column
-
     def schema(self) -> DatasetSchema:
         attrs = [AttributeSpec(f"f{j + 1}", "num")
                  for j in range(len(self.pos_means))]

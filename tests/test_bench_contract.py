@@ -1,0 +1,47 @@
+"""The fabboo names that the benchmark in bench/ reaches from outside.
+
+`bench/spans.py` wraps library functions by (owner, attribute) for
+`bench/run.py --trace 1`, and the workloads call the package's public
+names. A rename in the library would break the benchmark without failing
+any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import fabboo
+from fabboo import cli, prequential
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+# what bench/workloads.py calls besides the span targets
+WORKLOAD_NAMES = [
+    (fabboo, "BoostedEnsemble"), (fabboo, "EvalConfig"), (fabboo, "Notion"),
+    (fabboo, "generate"), (fabboo, "method_params"), (fabboo, "preset"),
+    (fabboo, "save_csv"), (fabboo, "with_overrides"), (cli, "generate"),
+    (cli, "main"), (prequential, "run_prequential"),
+    (prequential, "write_trace"),
+]
+
+
+def test_span_targets_and_workload_names_exist():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    # the package's `metrics` name is the function, so import by path
+    mods = SimpleNamespace(fabboo=fabboo, **{
+        name: importlib.import_module(f"fabboo.{name}")
+        for name in ("cli", "generators", "prequential", "metrics",
+                     "fairness", "imbalance", "boosting", "tree")})
+    targets = spans.targets(mods)
+    missing = [name for owner, attr, name in targets
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+    for name in ("build_model", "shuffled", "load_csv", "run_prequential",
+                 "write_trace", "execute_run", "main"):
+        assert (cli, name) in [(owner, attr) for owner, attr, _ in targets]
+    spans.span_codes(mods)   # every target is a Python function
+    for owner, attr in WORKLOAD_NAMES:
+        assert hasattr(owner, attr), attr

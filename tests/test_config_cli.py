@@ -1,5 +1,6 @@
 """Config parsing/round-trip, validity rules and the CLI surface."""
 
+import argparse
 import ast
 import concurrent.futures
 import os
@@ -113,6 +114,151 @@ def test_stored_order_forbids_multiple_shuffles(tmp_path):
         cfg.validate()
 
 
+# ------------------------------------------------ config.cfg and the flags
+
+CSV_CONFIG_TEXT = """\
+[source]
+kind = csv
+path = d.csv
+features = age:num, sex:cat(F|M)
+protected = sex=F
+label = y:cat(good|bad)=good
+order = shuffled
+
+[method]
+method = fabboo
+fairness = sp
+learners = 4
+gamma = 0.1
+lambda = 0.9
+window = 50
+epsilon = 0.0001
+smoothing = 1.0
+chunk = 100
+
+[run]
+shuffles = 2
+seed = 5
+stride = 1
+
+[output]
+dir = o
+"""
+
+GENERATOR_CONFIG_TEXT = """\
+[source]
+kind = generator
+pos_means = 0.4, 0.4, 0.4
+neg_means = -0.4, -0.4, -0.4
+stds = 1.0, 1.0, 1.0
+ratio_schedule = 1.0:0.4
+bias_schedule = 1.0:0.0, 200.0:0.2, 400.0:0.0
+length = 400
+protected_share = 0.4
+drifts = sudden:200:0:0.8
+
+[method]
+method = imbalance_only
+fairness = none
+learners = 2
+gamma = 0.1
+lambda = 0.9
+window = 2000
+epsilon = 0.0001
+smoothing = 1.0
+chunk = 1000
+
+[run]
+shuffles = 1
+seed = 9
+stride = 10
+
+[output]
+dir = o
+"""
+
+PRESET_ARGV = ["run", "--preset", "drift_sudden", "--length", "3000",
+               "--method", "cfbb", "--fairness", "eqop", "--learners", "7",
+               "--gamma", "0.25", "--lambda", "0.5", "--window", "300",
+               "--epsilon", "0.01", "--smoothing", "2", "--chunk", "250",
+               "--shuffles", "3", "--seed", "11", "--stride", "20",
+               "--out", "p"]
+
+PRESET_CONFIG_TEXT = """\
+[source]
+kind = preset
+preset = drift_sudden
+length = 3000
+
+[method]
+method = cfbb
+fairness = eqop
+learners = 7
+gamma = 0.25
+lambda = 0.5
+window = 300
+epsilon = 0.01
+smoothing = 2.0
+chunk = 250
+
+[run]
+shuffles = 3
+seed = 11
+stride = 20
+
+[output]
+dir = p
+"""
+
+
+def test_config_text_is_pinned():
+    assert config_to_text(parse_config_text(
+        CSV_CONFIG.format(path="d.csv", out="o"))) == CSV_CONFIG_TEXT
+    assert config_to_text(parse_config_text(
+        GENERATOR_CONFIG.format(out="o"))) == GENERATOR_CONFIG_TEXT
+    args = cli.build_parser().parse_args(PRESET_ARGV)
+    assert config_to_text(cli.apply_flags(ExperimentConfig(), args)) == \
+        PRESET_CONFIG_TEXT
+
+
+# (flag, type, help) of every run flag, in --help order
+RUN_FLAGS = [
+    ("--config", None, "experiment config file"),
+    ("--dataset", None, "CSV dataset path (needs schema keys from a config "
+                        "file)"),
+    ("--preset", None, "named synthetic stream"),
+    ("--length", int, "stream length override"),
+    ("--order", None, None),
+    ("--method", None, None),
+    ("--fairness", None, "sp | eqop | peq | none"),
+    ("--learners", int, "ensemble size N"),
+    ("--gamma", float, "boosting edge parameter"),
+    ("--lambda", float, "imbalance-monitor decay"),
+    ("--window", int, "boundary window capacity M"),
+    ("--epsilon", float, "discrimination tolerance"),
+    ("--smoothing", float, "fairness denominator correction l"),
+    ("--chunk", int, "chunk size (cfbb)"),
+    ("--shuffles", int, None),
+    ("--seed", int, None),
+    ("--stride", int, "trace row stride"),
+    ("--out", None, "output directory"),
+]
+
+
+def test_run_and_sweep_flags_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def flags(command):
+        return [(a.option_strings[-1], a.type, a.help)
+                for a in sub.choices[command]._actions if a.dest != "help"]
+
+    assert flags("run") == RUN_FLAGS
+    assert flags("sweep") == RUN_FLAGS + [
+        ("--param", None, "parameter to sweep (N=learners, M=window)"),
+        ("--values", None, "comma-separated parameter values")]
+
+
 # ----------------------------------------------------------------- the CLI
 
 def write_dataset(tmp_path, rows=60):
@@ -150,6 +296,37 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(cfg_file),
                  "--method", "osboost"])  # keeps fairness = sp
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--learners", "0"], "learners"),
+    (["--gamma", "0"], "gamma"),
+    (["--gamma", "1"], "gamma"),
+    (["--lambda", "-0.1"], "lambda"),
+    (["--lambda", "1"], "lambda"),
+    (["--window", "0"], "window"),
+    (["--epsilon", "-1"], "epsilon"),
+    (["--smoothing", "-1"], "smoothing"),
+    (["--chunk", "0"], "chunk"),
+    (["--chunk", "0", "--method", "cfbb"], "chunk"),
+    (["--shuffles", "0"], "shuffles"),
+    (["--stride", "0"], "stride"),
+    (["--method", "osboost"], "fairness"),
+    (["--fairness", "none"], "fairness"),
+    (["--dataset", "absent.csv", "--learners", "0"], "learners"),
+])
+def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
+    data = write_dataset(tmp_path)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=data, out=tmp_path / "out"),
+                        encoding="utf-8")
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    assert main(["run", "--config", str(cfg_file)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("config error: ") and key in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_file_exits_3(tmp_path):
@@ -210,6 +387,20 @@ def test_paired_shuffles_share_instance_order(tmp_path):
         return [tuple(l.split(",")[2:4]) for l in lines]  # (label, group)
 
     assert stream_columns(outs[0]) == stream_columns(outs[1])
+
+
+def test_stored_order_follows_the_file(tmp_path):
+    data = write_dataset(tmp_path)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=data, out=tmp_path / "out")
+                        .replace("order = shuffled", "order = stored"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file), "--shuffles", "1"]) == 0
+    trace = (tmp_path / "out" / "shuffle-00" / "trace.csv").read_text()
+    got = [tuple(l.split(",")[2:4]) for l in trace.splitlines()[1:]]
+    rows = [l.split(",") for l in data.read_text().splitlines()[1:]]
+    assert got == [("1" if y == "good" else "-1", "1" if sex == "F" else "0")
+                   for _, sex, y in rows]
 
 
 def test_generator_source_run(tmp_path):

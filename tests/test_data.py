@@ -2,8 +2,8 @@
 
 import pytest
 
-from fabboo import (AttributeSpec, DataError, Dataset, DatasetSchema,
-                    load_csv, permutation, replay, save_csv, shuffled)
+from fabboo import (AttributeSpec, DataError, DatasetSchema, load_csv,
+                    permutation, save_csv, shuffled)
 from fabboo.data import Instance, POSITIVE, NEGATIVE
 
 
@@ -30,11 +30,11 @@ def test_three_row_parse(tmp_path, schema):
     p = write(tmp_path, "age,sex,y\n31,F,good\n45,M,bad\n29,F,bad\n")
     ds = load_csv(p, schema)
     assert len(ds) == 3
-    first = ds.instances[0]
+    first = ds[0]
     assert first.features == (31.0, "F")
     assert first.group is True and first.label == POSITIVE and first.seq == 1
-    assert ds.instances[1].group is False
-    assert ds.instances[2].label == NEGATIVE
+    assert ds[1].group is False
+    assert ds[2].label == NEGATIVE
 
 
 def test_header_only_gives_empty_dataset(tmp_path, schema):
@@ -91,21 +91,20 @@ def test_save_load_round_trip(tmp_path, schema):
     out = tmp_path / "copy.csv"
     save_csv(out, schema, ds)
     again = load_csv(out, schema)
-    assert again.instances == ds.instances
+    assert again == ds
 
 
 # --------------------------------------------------------------- shuffling
 
 def _toy_dataset(schema, n):
-    rows = [Instance((float(i), "F" if i % 2 else "M"),
+    return [Instance((float(i), "F" if i % 2 else "M"),
                      bool(i % 2), POSITIVE if i % 3 else NEGATIVE, i + 1)
             for i in range(n)]
-    return Dataset(schema, rows)
 
 
 def test_single_instance_identity(schema):
     ds = _toy_dataset(schema, 1)
-    assert shuffled(ds, seed=42) == ds.instances
+    assert shuffled(ds, seed=42) == ds
 
 
 def test_same_seed_reproduces_order(schema):
@@ -128,11 +127,6 @@ def test_shuffle_is_permutation_with_fresh_seq(schema):
     assert sorted(i.features for i in out) == sorted(i.features for i in ds)
 
 
-def test_replay_preserves_order(schema):
-    ds = _toy_dataset(schema, 10)
-    assert replay(ds) == ds.instances
-
-
 def test_empty_shuffle_rejected(schema):
     with pytest.raises(DataError):
-        shuffled(Dataset(schema, []), 1)
+        shuffled([], 1)
