@@ -20,6 +20,13 @@ cumulative fairness value exceeds the tolerance against the protected
 group, theta is set to the n-th highest window confidence, n being the
 number of decisions that would need to flip to restore parity; otherwise
 theta rests at the neutral 0.5.
+
+Neither recurrence reads the prediction, theta or the ledger, so the chain
+can be cut after learner k: the margin sum and (q, w) of learners 1..k on
+an arrival are all the rest of the chain needs. `score` and
+`train_instance` continue from such a head, which is empty (sum 0, q = 0,
+w = 1) unless a pipeline's helper process trains learners 1..k (see
+pipeline.py).
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from .tree import HoeffdingTree
 
 # divisor floor for (1 +/- ocis) on single-class stream prefixes
 _DIVISOR_FLOOR = 1e-3
+# margin sum, q and w of an empty head of the chain
+NO_HEAD = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,11 @@ class BoostedEnsemble:
     `kinds`). A learner has `predict_margin(x)`, a margin in [-1, 1], and
     `train_weighted(x, label, w)`, which learns x with weight w >= 0 and
     returns its margin on x after that update.
+
+    `tail` is the list of learners scored and trained here, all of them
+    unless a pipeline's helper trains the first ones; `head` holds that
+    helper's (margin sum, q, w) on the current arrival, and `head_error`
+    an error it raised training on it, which `train_instance` raises.
     """
 
     def __init__(self, params: EnsembleParams, kinds, learner_factory=None):
@@ -132,14 +146,15 @@ class BoostedEnsemble:
         self.window = BoundaryWindow(params.window)
         self._seq = 0
         self._score = 0.5   # score of the instance last predicted
+        self.tail = self.learners
+        self.head = NO_HEAD
+        self.head_error = None
 
     # ----------------------------------------------------------------- score
 
     def score(self, features) -> float:
         """Ensemble confidence for the positive class, in [0, 1]."""
-        total = 0.0
-        for learner in self.learners:
-            total += learner.predict_margin(features)
+        total = margin_sum(self.tail, features, self.head[0])
         return (1.0 + total / len(self.learners)) / 2.0
 
     def predict(self, features, group: bool) -> int:
@@ -155,7 +170,17 @@ class BoostedEnsemble:
     # ----------------------------------------------------------------- train
 
     def train_instance(self, features, label: int, ocis: float) -> None:
-        """One boosting pass over the learners (the weight recurrence above)."""
+        """One boosting pass over the learners (the weight recurrence
+        above), continued from the head's (q, w)."""
+        if self.head_error is not None:
+            raise self.head_error
+        _, q, w = self.head
+        self.chain(self.tail, features, label, ocis, q, w)
+
+    def chain(self, learners, features, label: int, ocis: float,
+              q: float, w: float) -> tuple[float, float]:
+        """The weight recurrence over `learners` from (q, w); returns
+        (q, w) after the last of them."""
         p = self.params
         gamma = p.gamma
         drift = gamma / (2.0 + gamma)
@@ -164,9 +189,7 @@ class BoostedEnsemble:
         if adjust:
             pos_div = max(1.0 + ocis, _DIVISOR_FLOOR)
             neg_div = max(1.0 - ocis, _DIVISOR_FLOOR)
-        w = 1.0
-        q = 0.0
-        for learner in self.learners:
+        for learner in learners:
             h = learner.train_weighted(features, label, w)
             q += label * h - drift
             w = base ** (q * 0.5)
@@ -174,6 +197,7 @@ class BoostedEnsemble:
                 w = 1.0
             if adjust:
                 w = w / pos_div if label == POSITIVE else w / neg_div
+        return q, w
 
     def learn(self, features, group: bool, label: int, predicted: int) -> None:
         """Full per-instance update: fairness bookkeeping, boundary
@@ -210,6 +234,13 @@ class BoostedEnsemble:
             if n is not None and n > 0 and len(self.window) > 0:
                 theta = self.window.kth_highest(n)
         self.theta = theta
+
+
+def margin_sum(learners, features, total: float) -> float:
+    """`total` plus the learners' margins on `features`, in order."""
+    for learner in learners:
+        total += learner.predict_margin(features)
+    return total
 
 
 METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")

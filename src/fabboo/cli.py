@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+from . import parallel
 from .boosting import METHODS, BoostedEnsemble
 from .config import (PARAMS, ConfigError, ExperimentConfig, config_to_text,
                      parse_config_file, parse_notion)
@@ -34,11 +34,6 @@ _SWEEP_PARAMS = {
     "lambda": "decay",
     "window": "window", "m": "window",
 }
-
-# a run's shuffles go to a process pool only when each has at least this
-# many arrivals: a fork pool takes milliseconds to start, which a shorter
-# shuffle does not repay
-_POOL_MIN_ARRIVALS = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,10 +145,13 @@ def aggregate_text(summaries: list[Summary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int) -> Summary:
-    """Evaluate shuffle i and write its trace and summary."""
+def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int,
+                 cpus: int) -> Summary:
+    """Evaluate shuffle i on a share of `cpus` CPUs and write its trace and
+    summary."""
     model = build_model(cfg, kinds)
-    trace, summary = run_prequential(model, source(i), cfg.eval_config())
+    trace, summary = run_prequential(model, source(i), cfg.eval_config(),
+                                     cpus=cpus)
     run_dir = Path(cfg.out_dir) / f"shuffle-{i:02d}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_trace(run_dir / "trace.csv", trace)
@@ -161,14 +159,7 @@ def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int) -> Summary:
     return summary
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-_inherited_shuffle = None   # a pool helper's shuffle(i), set when it starts
+_inherited_shuffle = None   # a pool helper's shuffle(i, cpus), set when it starts
 
 
 def _inherit(shuffle) -> None:
@@ -176,42 +167,41 @@ def _inherit(shuffle) -> None:
     _inherited_shuffle = shuffle
 
 
-def _helper_shuffle(i: int) -> Summary:
-    return _inherited_shuffle(i)
+def _helper_shuffle(i: int, cpus: int) -> Summary:
+    return _inherited_shuffle(i, cpus)
 
 
 def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
-    """shuffle(i) for every i, in shuffle order.
+    """shuffle(i, cpus) for every i, in shuffle order, where cpus is each
+    shuffle's share of the usable CPUs.
 
-    With two or more usable CPUs, a fork start method, no other thread in
-    this process and at least _POOL_MIN_ARRIVALS arrivals per shuffle,
-    the shuffles run on up to that many processes: this one runs the
-    first share itself while forked helpers, which inherit `shuffle` and
-    its data, run the rest. Only shuffle indices and summaries cross
-    between processes, and a helper's exception is raised here. Otherwise
-    they run one by one. Forking, unlike spawning, needs no fresh import
-    or pickled dataset per helper; it copies every lock but no thread,
-    hence the single-thread condition.
+    With two or more usable CPUs, at least parallel.MIN_ARRIVALS arrivals
+    per shuffle and `parallel.can_fork()`, the shuffles run on up to that
+    many processes: this one runs the first share itself while forked
+    helpers, which inherit `shuffle` and its data, run the rest. Only
+    shuffle indices and summaries cross between processes, and a helper's
+    exception is raised here. Otherwise they run one by one. Forking,
+    unlike spawning, needs no fresh import or pickled dataset per helper.
     """
-    workers = min(shuffles, _usable_cpus())
-    if workers > 1 and arrivals >= _POOL_MIN_ARRIVALS:
+    usable = parallel.usable_cpus()
+    workers = min(shuffles, usable)
+    cpus = usable // workers
+    if (workers > 1 and arrivals >= parallel.MIN_ARRIVALS
+            and parallel.can_fork()):
         import multiprocessing
-        import threading
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            from concurrent.futures import ProcessPoolExecutor
-            own = -(-shuffles // workers)   # ceil(shuffles / workers)
-            pool = ProcessPoolExecutor(
-                workers - 1, mp_context=multiprocessing.get_context("fork"),
-                initializer=_inherit, initargs=(shuffle,))
-            try:
-                helped = [pool.submit(_helper_shuffle, i)
-                          for i in range(own, shuffles)]
-                summaries = [shuffle(i) for i in range(own)]
-                return summaries + [f.result() for f in helped]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [shuffle(i) for i in range(shuffles)]
+        from concurrent.futures import ProcessPoolExecutor
+        own = -(-shuffles // workers)   # ceil(shuffles / workers)
+        pool = ProcessPoolExecutor(
+            workers - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit, initargs=(shuffle,))
+        try:
+            helped = [pool.submit(_helper_shuffle, i, cpus)
+                      for i in range(own, shuffles)]
+            summaries = [shuffle(i, cpus) for i in range(own)]
+            return summaries + [f.result() for f in helped]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [shuffle(i, cpus) for i in range(shuffles)]
 
 
 def execute_run(cfg: ExperimentConfig) -> list[Summary]:
@@ -230,13 +220,14 @@ def execute_run(cfg: ExperimentConfig) -> list[Summary]:
 
 
 def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
-    """Run the experiment once per parameter value; returns the wide table."""
+    """Run the experiment once per parameter value; returns the wide table.
+    Every value's config is checked before the first run."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     attr = _SWEEP_PARAMS[param]
     conv = next(type_ for _, _, field, type_, _ in PARAMS if field == attr)
-    rows = []
     out_root = Path(cfg.out_dir)
+    runs = []
     for raw in values:
         try:
             value = conv(raw)
@@ -244,6 +235,10 @@ def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
             raise ConfigError(f"bad sweep value {raw!r}")
         sub_cfg = replace(cfg, **{attr: value,
                                   "out_dir": str(out_root / f"{param}={raw}")})
+        sub_cfg.validate()
+        runs.append((raw, sub_cfg))
+    rows = []
+    for raw, sub_cfg in runs:
         summaries = execute_run(sub_cfg)
         cells = [f"{raw}"]
         for key in _AGGREGATED:

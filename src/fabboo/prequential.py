@@ -3,8 +3,14 @@
 For every arriving instance the driver asks the model for a prediction,
 records it into the confusion counts and the reporting fairness ledger,
 updates the reporting imbalance monitor with the revealed label, and only
-then lets the model learn. The model never sees a label before it has
-predicted the instance, and never sees future instances.
+then lets the model learn. Each prediction depends only on earlier
+arrivals: the model sees an instance's label only after predicting it.
+When the boosting pipeline runs (see pipeline.py), the driver pulls up to
+`pipeline.LOOKAHEAD` arrivals ahead of the one it serves, and a helper
+process trains the first learners on them ahead of the prediction; each
+of those learners still scores an arrival before it trains on it, so the
+predictions, the trace and the model's final state are those of the
+serial loop.
 
 The per-step trace (one row every `stride` steps) and the final summary are
 both derived from the same streaming counters, so summary values can be
@@ -21,6 +27,7 @@ from .data import Instance
 from .fairness import FairnessLedger, Notion
 from .imbalance import ImbalanceMonitor
 from .metrics import ConfusionCounts, metrics
+from .parallel import arrivals
 
 
 class OnlineClassifier(Protocol):
@@ -81,11 +88,15 @@ class Summary:
 
 def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
                     config: EvalConfig = EvalConfig(),
-                    trace: list[TraceRow] | None = None):
+                    trace: list[TraceRow] | None = None, *,
+                    cpus: int | None = None):
     """Evaluate `model` prequentially over `source`.
 
     Returns (trace, summary). Pass `trace` to keep the partial trace when a
     model or source error aborts the run (the exception propagates).
+    `cpus` is the run's share of the CPUs (default: every usable one); with
+    two or more, a long run of a BoostedEnsemble may pipeline its boosting
+    chain across two processes (see parallel.py), with the same results.
     """
     if trace is None:
         trace = []
@@ -96,21 +107,25 @@ def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
     notion = config.trace_notion
     t = 0
     t0 = time.perf_counter()
-    for inst in source:
-        t += 1
-        features, group, label = inst.features, inst.group, inst.label
-        pred = model.predict(features, group)
-        counts.update(label, pred)
-        ledger.record(group, label, pred)
-        monitor.update(label)
-        model.learn(features, group, label, pred)
-        if t % stride == 0:
-            m = metrics(counts)
-            trace.append(TraceRow(
-                t, pred, label, int(group),
-                monitor.ocis(), ledger.value(notion),
-                getattr(model, "theta", 0.5),
-                m["bal_acc"], m["gmean"], m["recall"], m["kappa"]))
+    served = arrivals(model, source, cpus)
+    try:
+        for inst in served:
+            t += 1
+            features, group, label = inst.features, inst.group, inst.label
+            pred = model.predict(features, group)
+            counts.update(label, pred)
+            ledger.record(group, label, pred)
+            monitor.update(label)
+            model.learn(features, group, label, pred)
+            if t % stride == 0:
+                m = metrics(counts)
+                trace.append(TraceRow(
+                    t, pred, label, int(group),
+                    monitor.ocis(), ledger.value(notion),
+                    getattr(model, "theta", 0.5),
+                    m["bal_acc"], m["gmean"], m["recall"], m["kappa"]))
+    finally:
+        served.close()
     wall = time.perf_counter() - t0
     m = metrics(counts)
     summary = Summary(

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from fabboo import Notion, parse_config_text, config_to_text
-from fabboo import cli
+from fabboo import cli, parallel, pipeline
 from fabboo.cli import main
 from fabboo.config import ConfigError, ExperimentConfig
 from fabboo.data import DataError
@@ -329,6 +329,18 @@ def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_sweep_value_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "ratio_fixed", "--length", "200",
+                 "--learners", "2", "--param", "lambda",
+                 "--values", "0.5,1.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("config error: ") and "lambda" in line
+    assert not out.exists()
+
+
 def test_run_missing_file_exits_3(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=tmp_path / "absent.csv",
@@ -435,7 +447,7 @@ def test_sweep_empty_values_rejected(tmp_path):
 
 # ------------------------------------------------------- parallel shuffles
 
-POOLED_ROWS = cli._POOL_MIN_ARRIVALS + 200
+POOLED_ROWS = parallel.MIN_ARRIVALS + 200
 
 
 @pytest.fixture
@@ -451,7 +463,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     return started
 
 
@@ -506,7 +518,7 @@ def test_short_or_threaded_run_starts_no_pool(tmp_path, monkeypatch, rows,
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
                                           out=tmp_path / "out"),
@@ -526,6 +538,75 @@ def test_short_or_threaded_run_starts_no_pool(tmp_path, monkeypatch, rows,
     assert (tmp_path / "out" / "shuffle-02" / "trace.csv").exists()
 
 
+def no_fork():
+    raise AssertionError("a pipeline helper was forked")
+
+
+@pytest.mark.parametrize("rows, shuffles, cpus, other_thread", [
+    (60, 1, 2, False),             # too short
+    (POOLED_ROWS, 1, 2, True),     # a second thread
+    (POOLED_ROWS, 1, 1, False),    # one usable CPU
+    (POOLED_ROWS, 3, 2, False),    # pooled shuffles: one CPU each
+])
+def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
+                                     cpus, other_thread):
+    """The fork factory raises, in the caller and in the pool's helpers,
+    so any pipeline fails the run."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_fork", no_fork)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
+                                          out=tmp_path / "out"),
+                        encoding="utf-8")
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(30,))
+    if other_thread:
+        waiter.start()
+    try:
+        assert main(["run", "--config", str(cfg_file), "--learners", "2",
+                     "--shuffles", str(shuffles)]) == 0
+    finally:
+        stop.set()
+        if other_thread:
+            waiter.join(5)
+    assert pools == ([1] if shuffles > 1 else [])
+    assert (tmp_path / "out" / f"shuffle-{shuffles - 1:02d}" /
+            "trace.csv").exists()
+
+
+def test_lone_run_pipelines_and_matches_one_cpu(tmp_path, monkeypatch):
+    forked = []
+    fork = pipeline._fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(pipeline, "_fork", counting_fork)
+    argv = source_argv(tmp_path, "csv") + ["--shuffles", "1"]
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(((out / "shuffle-00" / "trace.csv").read_bytes(),
+                        without_wall_s((out / "shuffle-00" / "summary.txt")
+                                       .read_text(encoding="utf-8"))))
+    assert len(forked) == 1
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("error, code, prefix", [
     (DataError("bad row in a helper"), 3, "data error"),
     (RuntimeError("a helper failed"), 1, "error"),
@@ -534,10 +615,10 @@ def test_helper_failure_sets_exit_code(tmp_path, monkeypatch, capsys, pools,
                                        error, code, prefix):
     parent, evaluate = os.getpid(), cli.run_prequential
 
-    def fail_in_helper(*args):
+    def fail_in_helper(*args, **kwargs):
         if os.getpid() != parent:
             raise error
-        return evaluate(*args)
+        return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_prequential", fail_in_helper)
     argv = source_argv(tmp_path, "csv")

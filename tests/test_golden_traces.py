@@ -1,20 +1,24 @@
 """Behaviour lock: SHA-256 digests of the stride-1 trace.csv of every valid
-method x notion pair at N=5, on short cuts of three presets.
+method x notion pair at N=5, on short cuts of four presets.
 
 Any change to the prediction stream, the boundary, the metrics or the trace
 format moves a digest. The drift cut moves the `drift_sudden` swap to arrival
 1,000 so that subtree promotions happen inside 3,000 arrivals; the test
-asserts that they do, so the promotion path is pinned too.
+asserts that they do, so the promotion path is pinned too. Every digest is
+checked twice: on one CPU, where the run is serial, and with the boosting
+pipeline forked at arrival 500.
 """
 
 import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from fabboo import (BoostedEnsemble, EvalConfig, Notion, generate,
                     method_params, preset, run_prequential, with_overrides,
                     write_trace)
+from fabboo import parallel, pipeline
 
 PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
          for n in (Notion.SP, Notion.EQOP, Notion.PEQ)] + \
@@ -34,6 +38,10 @@ CUTS = {
     "ratio_fixed": lambda: with_overrides(preset("ratio_fixed"), length=2_000,
                                           seed=1),
     "drift_sudden": _drift_cut,
+    # long enough for the imbalance-adjusted methods to predict positives,
+    # so that fabboo, cfbb, ofib and imbalance_only separate
+    "ratio_fixed_5k": lambda: with_overrides(preset("ratio_fixed"),
+                                             length=5_000, seed=1),
 }
 
 DIGESTS = {
@@ -103,29 +111,76 @@ DIGESTS = {
         "36ef3a0d3c78974024192ea10785f035d95f3a89e70ddda54591eef4fd28bd8c",
     "ratio_fixed/imbalance_only/none":
         "36ef3a0d3c78974024192ea10785f035d95f3a89e70ddda54591eef4fd28bd8c",
+    "ratio_fixed_5k/fabboo/sp":
+        "c63c084681085931475a0e730a4232bace570e4613923ec1e9120394bc34aa04",
+    "ratio_fixed_5k/fabboo/eqop":
+        "c0feebd9945fd5cb3f20092b21b398ec9e51e6e6e6d33ded88defb395dc730cb",
+    "ratio_fixed_5k/fabboo/peq":
+        "dab7dbfe4e9d0e75e303997d116b7bdabb57b5f0b40d91532ee9a8c8ba44a0a3",
+    "ratio_fixed_5k/ofib/sp":
+        "3a106043e35938108b9c8bb4bb7b8f41bc91d433cdae7b86b82410881c239915",
+    "ratio_fixed_5k/ofib/eqop":
+        "a87cfa3d41da9739988334f8c559da91cca4aa18d2591788b6f73e74ca2a9fc4",
+    "ratio_fixed_5k/ofib/peq":
+        "8a8b78b0cc070e8aff45436431a465e1c0f5c1b01b6781f358a3c6ab06b62d10",
+    "ratio_fixed_5k/cfbb/sp":
+        "7ff042d0c51d0ed7517ef7e7d17e78d39583ec966bd00f8fa6e8345cb71e7ab6",
+    "ratio_fixed_5k/cfbb/eqop":
+        "4556ba8407e0ea1a0c44228c1af7797477f2f39e09becf69258b63ab008d1bd2",
+    "ratio_fixed_5k/cfbb/peq":
+        "dab7dbfe4e9d0e75e303997d116b7bdabb57b5f0b40d91532ee9a8c8ba44a0a3",
+    "ratio_fixed_5k/osboost/none":
+        "3a106043e35938108b9c8bb4bb7b8f41bc91d433cdae7b86b82410881c239915",
+    "ratio_fixed_5k/imbalance_only/none":
+        "22b688cbca371b196d7205677a6aeb1fbf72d0d8ad5b7416921de4e8168ac085",
 }
 
 
-def run_cut(cut, method, notion, path):
-    """Run one pair on one cut, write its stride-1 trace to `path`; returns
-    (sha256 of the trace file, total subtree promotions)."""
+def run_cut(cut, method, notion, path, cpus=1):
+    """Run one pair on one cut on `cpus` CPUs, write its stride-1 trace to
+    `path`; returns (sha256 of the trace file, total subtree promotions)."""
     gen = CUTS[cut]()
     model = BoostedEnsemble(method_params(method, notion, learners=5),
                             gen.schema().kinds())
     trace, _ = run_prequential(model, generate(gen),
-                               EvalConfig(trace_notion=notion or Notion.SP))
+                               EvalConfig(trace_notion=notion or Notion.SP),
+                               cpus=cpus)
     write_trace(path, trace)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return digest, sum(t.replacements for t in model.learners)
 
 
+PAIR_IDS = [f"{m}-{n.value if n else 'none'}" for m, n in PAIRS]
+
+
 @pytest.mark.parametrize("cut", sorted(CUTS))
-@pytest.mark.parametrize("method,notion", PAIRS,
-                         ids=[f"{m}-{n.value if n else 'none'}"
-                              for m, n in PAIRS])
+@pytest.mark.parametrize("method,notion", PAIRS, ids=PAIR_IDS)
 def test_trace_digest(tmp_path, cut, method, notion):
     key = f"{cut}/{method}/{notion.value if notion else 'none'}"
     digest, promotions = run_cut(cut, method, notion, tmp_path / "trace.csv")
+    assert digest == DIGESTS[key], key
+    if cut == "drift_sudden":
+        assert promotions > 0, key
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+@pytest.mark.parametrize("method,notion", PAIRS, ids=PAIR_IDS)
+def test_pipelined_trace_digest(tmp_path, cut, method, notion):
+    key = f"{cut}/{method}/{notion.value if notion else 'none'}"
+    forked = []
+    fork = pipeline._fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(parallel, "MIN_ARRIVALS", 500), \
+            mock.patch.object(pipeline, "_fork", counting_fork):
+        digest, promotions = run_cut(cut, method, notion,
+                                     tmp_path / "trace.csv", cpus=2)
+    assert len(forked) == 1
     assert digest == DIGESTS[key], key
     if cut == "drift_sudden":
         assert promotions > 0, key
