@@ -147,7 +147,7 @@ def aggregate_text(summaries: list[Summary]) -> str:
 
 def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int,
                  cpus: int) -> Summary:
-    """Evaluate shuffle i on a share of `cpus` CPUs and write its trace and
+    """Evaluate shuffle i on up to `cpus` CPUs and write its trace and
     summary."""
     model = build_model(cfg, kinds)
     trace, summary = run_prequential(model, source(i), cfg.eval_config(),
@@ -172,20 +172,22 @@ def _helper_shuffle(i: int, cpus: int) -> Summary:
 
 
 def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
-    """shuffle(i, cpus) for every i, in shuffle order, where cpus is each
-    shuffle's share of the usable CPUs.
+    """shuffle(i, cpus) for every i, in shuffle order, where cpus is the
+    number of CPUs each shuffle may use.
 
     With two or more usable CPUs, at least parallel.MIN_ARRIVALS arrivals
     per shuffle and `parallel.can_fork()`, the shuffles run on up to that
     many processes: this one runs the first share itself while forked
     helpers, which inherit `shuffle` and its data, run the rest. Only
     shuffle indices and summaries cross between processes, and a helper's
-    exception is raised here. Otherwise they run one by one. Forking,
-    unlike spawning, needs no fresh import or pickled dataset per helper.
+    exception is raised here. Pooled shuffles get one CPU each, so none
+    pipelines (the pool's manager thread would keep this process's shuffles
+    serial anyway). Otherwise they run one by one, each on every usable
+    CPU. Forking, unlike spawning, needs no fresh import or pickled dataset
+    per helper.
     """
     usable = parallel.usable_cpus()
     workers = min(shuffles, usable)
-    cpus = usable // workers
     if (workers > 1 and arrivals >= parallel.MIN_ARRIVALS
             and parallel.can_fork()):
         import multiprocessing
@@ -195,13 +197,13 @@ def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
             workers - 1, mp_context=multiprocessing.get_context("fork"),
             initializer=_inherit, initargs=(shuffle,))
         try:
-            helped = [pool.submit(_helper_shuffle, i, cpus)
+            helped = [pool.submit(_helper_shuffle, i, 1)
                       for i in range(own, shuffles)]
-            summaries = [shuffle(i, cpus) for i in range(own)]
+            summaries = [shuffle(i, 1) for i in range(own)]
             return summaries + [f.result() for f in helped]
         finally:
             pool.shutdown(cancel_futures=True)
-    return [shuffle(i, cpus) for i in range(shuffles)]
+    return [shuffle(i, usable) for i in range(shuffles)]
 
 
 def execute_run(cfg: ExperimentConfig) -> list[Summary]:

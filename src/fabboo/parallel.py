@@ -8,12 +8,12 @@ Two parts of a run can use a second CPU, both by forking:
   a forked helper trains the first half of the learners ahead of the
   caller (see pipeline.py).
 
-Both start only after MIN_ARRIVALS arrivals (per shuffle), which repays
-the milliseconds a fork costs, and only when `can_fork()` holds: `os.fork`
-exists and this process runs one thread, since a fork copies every lock
-but no thread. `run_prequential` takes the run's share of the CPUs: all
-usable ones for a lone run, usable // workers for a pooled shuffle. The
-pipeline needs a share of two, so pooled shuffles on two CPUs stay serial.
+The pool starts only after MIN_ARRIVALS arrivals per shuffle and the
+pipeline after PIPELINE_MIN_ARRIVALS, which repays what starting them
+costs, and both only when `can_fork()` holds: `os.fork` exists and this process runs one thread, since a fork copies every lock
+but no thread. `run_prequential` takes the number of CPUs a run may use,
+and the pipeline needs two: a run on its own gets every usable CPU, a
+pooled shuffle one, so pooled shuffles never pipeline.
 """
 
 from __future__ import annotations
@@ -24,8 +24,14 @@ import threading
 from .boosting import BoostedEnsemble
 from .tree import HoeffdingTree
 
-# a run forks (a pool or a pipeline) only after this many arrivals
+# a run's shuffles are pooled only with this many arrivals each
 MIN_ARRIVALS = 1000
+# a run pipelines only after this many arrivals. Starting the pipeline
+# costs some 30-40 ms (importing multiprocessing.connection, the fork, the
+# helper's first batches): lone paper_synth runs (fabboo/SP, N=20, 2 CPUs)
+# of 1,200 arrivals ran 11% slower when it started at 1,000, and runs of
+# 2,400 as fast as serial when it starts here
+PIPELINE_MIN_ARRIVALS = 2000
 
 
 def usable_cpus() -> int:
@@ -42,10 +48,10 @@ def can_fork() -> bool:
 def arrivals(model, source, cpus: int | None = None):
     """The instances of `source`, for run_prequential to serve in order.
 
-    After MIN_ARRIVALS of them, when the run's CPU share (`cpus`, all
-    usable CPUs when None) is at least two, `model` is a BoostedEnsemble
-    of two or more HoeffdingTrees and `can_fork()` holds, the rest are
-    served through the pipeline. Closing this generator stops the
+    After PIPELINE_MIN_ARRIVALS of them, when the number of CPUs the run
+    may use (`cpus`, every usable one when None) is at least two, `model`
+    is a BoostedEnsemble of two or more HoeffdingTrees and `can_fork()`
+    holds, the rest are served through the pipeline. Closing this generator stops the
     pipeline's helper; it never closes `source`.
     """
     stream = iter(source)
@@ -53,7 +59,7 @@ def arrivals(model, source, cpus: int | None = None):
     for inst in stream:
         yield inst
         served += 1
-        if served == MIN_ARRIVALS:
+        if served == PIPELINE_MIN_ARRIVALS:
             break
     else:
         return

@@ -17,19 +17,22 @@ state.
 Errors surface where the serial loop meets them: an error of a head
 learner is raised by `predict` (scoring) or `train_instance` (training)
 on its arrival, and a source error pulled ahead is raised when the
-arrival it stands for is due. A helper that dies raises RuntimeError. A
-model whose run failed is not to be reused: its head learners are as the
-fork left them.
+arrival it stands for is due. A head learner's error crosses from the
+helper pickled, with the helper's traceback as a note (Python 3.11+); an
+error that does not pickle is raised as its nearest builtin class (see
+`_portable`). A helper that dies raises RuntimeError. A model whose run
+failed is not to be reused: its head learners are as the fork left them.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import select
 import signal
 import time
+import traceback
 from collections import deque
+from multiprocessing.connection import Pipe
 
 from .boosting import NO_HEAD, margin_sum
 
@@ -86,83 +89,31 @@ def _pipelined(model, k, helper, first, stream):
         model.head_error = None
 
 
-class _Channel:
-    """Pickled messages over a pair of pipe ends, each framed by its
-    length."""
-
-    def __init__(self, read_fd: int, write_fd: int):
-        self.rfd, self.wfd = read_fd, write_fd
-        self.buf = bytearray()
-        self.poll = select.poll()
-        self.poll.register(read_fd, select.POLLIN)
-
-    def send(self, obj) -> None:
-        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(4, "little") + data)
-        while view:
-            view = view[os.write(self.wfd, view):]
-
-    def recv(self):
-        """The next message; EOFError when the other end has closed."""
-        buf = self.buf
-        while len(buf) < 4 or len(buf) < 4 + int.from_bytes(buf[:4], "little"):
-            self._wait()
-            data = os.read(self.rfd, 1 << 16)
-            if not data:
-                raise EOFError
-            buf += data
-        end = 4 + int.from_bytes(buf[:4], "little")
-        obj = pickle.loads(buf[4:end])
-        del buf[:end]
-        return obj
-
-    def _wait(self) -> None:
-        poll = self.poll.poll
-        if poll(0):
-            return
-        deadline = time.perf_counter() + _SPIN_S
-        while not poll(0):
-            if time.perf_counter() > deadline:
-                poll()
-                return
-
-    def close_sending(self) -> None:
-        """Close the sending end: the other end reads EOF after the last
-        message."""
-        if self.wfd is not None:
-            os.close(self.wfd)
-            self.wfd = None
-
-    def close(self) -> None:
-        self.close_sending()
-        os.close(self.rfd)
-
-
 class _Helper:
     """The caller's side of a forked helper that trains learners[:k]."""
 
     def __init__(self, model, k: int):
-        down_r, down_w = os.pipe()   # arrivals to the helper
-        up_r, up_w = os.pipe()       # head results back
+        down_r, down_w = Pipe(duplex=False)   # arrivals to the helper
+        up_r, up_w = Pipe(duplex=False)       # head results back
         try:
             pid = _fork()
         except BaseException:
-            for fd in (down_r, down_w, up_r, up_w):
-                os.close(fd)
+            for conn in (down_r, down_w, up_r, up_w):
+                conn.close()
             raise
         if pid == 0:
             status = 1
             try:
-                os.close(down_w)
-                os.close(up_r)
-                _serve(model, k, _Channel(down_r, up_w))
+                down_w.close()
+                up_r.close()
+                _serve(model, k, down_r, up_w)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(down_r)
-        os.close(up_w)
+        down_r.close()
+        up_w.close()
         self.pid = pid
-        self.chan = _Channel(up_r, down_w)
+        self.inbox, self.outbox = up_r, down_w
         self.heads = deque()
         self.final = None    # the helper's last message
 
@@ -170,15 +121,15 @@ class _Helper:
         """Send a batch of (features, label); after the `last` one the
         helper sees the end of the stream."""
         try:
-            self.chan.send(batch)
+            self.outbox.send(batch)
         except BrokenPipeError:
             pass   # it failed or died; what it sent before says which
         if last:
-            self.chan.close_sending()
+            self.outbox.close()
 
     def _receive(self) -> None:
         try:
-            heads, self.final = self.chan.recv()
+            heads, self.final = _recv(self.inbox)
         except EOFError:
             raise RuntimeError("the pipeline's helper process exited "
                                "unexpectedly") from None
@@ -205,12 +156,23 @@ class _Helper:
         return self.final[1]
 
     def close(self) -> None:
-        self.chan.close()
+        self.outbox.close()
+        self.inbox.close()
         os.kill(self.pid, signal.SIGKILL)   # only this process reaps it
         os.waitpid(self.pid, 0)
 
 
-def _serve(model, k: int, chan: _Channel) -> None:
+def _recv(conn):
+    """The next message on `conn`, polled for up to _SPIN_S before the
+    read blocks; EOFError when the other end has closed."""
+    if not conn.poll(0):
+        deadline = time.perf_counter() + _SPIN_S
+        while not conn.poll(0) and time.perf_counter() < deadline:
+            pass
+    return conn.recv()
+
+
+def _serve(model, k: int, inbox, outbox) -> None:
     """The helper's loop: score, then train, learners[:k] on each arrival
     the caller sends; at the end of the stream, send them back."""
     head = model.learners[:k]
@@ -218,23 +180,82 @@ def _serve(model, k: int, chan: _Channel) -> None:
     chain = model.chain
     while True:
         try:
-            batch = chan.recv()
+            batch = _recv(inbox)
         except EOFError:
-            chan.send(([], ("done", head)))
+            outbox.send(([], ("done", head)))
             return
         out = []
         for features, label in batch:
             try:
                 s = margin_sum(head, features, 0.0)
             except Exception as e:
-                chan.send((out, ("failed", None, e)))
+                outbox.send((out, ("failed", None, _portable(e))))
                 return
             monitor.update(label)
             try:
                 q, w = chain(head, features, label, monitor.ocis(), 0.0, 1.0)
             except Exception as e:
-                chan.send((out, ("failed", s, e)))
+                outbox.send((out, ("failed", s, _portable(e))))
                 return
             out.append((s, q, w))
-        chan.send((out, None))
+        outbox.send((out, None))
 
+
+def _portable(error: Exception) -> Exception:
+    """`error`, with the helper's traceback as a note, in a form that the
+    caller can unpickle.
+
+    Pickling an error calls its class with its args on the other side,
+    which fails for a class whose __init__ takes other arguments; such an
+    error is sent as its class, args and attributes and put together
+    without __init__. An error whose args or attributes do not pickle is
+    sent as an instance of its nearest builtin class, with its message
+    (prefixed by its class name when the class differs).
+    """
+    note = ("raised in the pipeline's helper process:\n"
+            + "".join(traceback.format_exception(error)))
+    if hasattr(error, "add_note"):   # Python 3.11+
+        error.add_note(note)
+    for candidate in (error, _Rebuilt(error)):
+        if _round_trips(candidate):
+            return candidate
+    name = type(error).__qualname__
+    for cls in type(error).__mro__:
+        if cls.__module__ != "builtins":
+            continue
+        try:
+            stand_in = cls(str(error) if cls is type(error)
+                           else f"{name}: {error}")
+        except Exception:
+            continue
+        if hasattr(stand_in, "add_note"):
+            stand_in.add_note(note)
+        if _round_trips(stand_in):
+            return stand_in
+    return Exception(f"{name} in the pipeline's helper process")
+
+
+def _round_trips(obj) -> bool:
+    try:
+        pickle.loads(pickle.dumps(obj))
+    except Exception:
+        return False
+    return True
+
+
+class _Rebuilt:
+    """Pickles an error as its class, args and attributes."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def __reduce__(self):
+        e = self.error
+        return _rebuild, (type(e), e.args, vars(e))
+
+
+def _rebuild(cls, args, attrs):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(attrs)
+    return error

@@ -546,12 +546,14 @@ def no_fork():
     (60, 1, 2, False),             # too short
     (POOLED_ROWS, 1, 2, True),     # a second thread
     (POOLED_ROWS, 1, 1, False),    # one usable CPU
-    (POOLED_ROWS, 3, 2, False),    # pooled shuffles: one CPU each
+    (POOLED_ROWS, 3, 2, False),    # pooled shuffles: one CPU each,
+    (POOLED_ROWS, 2, 4, False),    # however many CPUs there are
 ])
 def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
                                      cpus, other_thread):
     """The fork factory raises, in the caller and in the pool's helpers,
-    so any pipeline fails the run."""
+    so any pipeline fails the run; the pipeline would start at the pool's
+    threshold."""
     pools = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -562,6 +564,8 @@ def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "PIPELINE_MIN_ARRIVALS",
+                        parallel.MIN_ARRIVALS)
     monkeypatch.setattr(pipeline, "_fork", no_fork)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
@@ -578,7 +582,7 @@ def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
         stop.set()
         if other_thread:
             waiter.join(5)
-    assert pools == ([1] if shuffles > 1 else [])
+    assert pools == ([min(shuffles, cpus) - 1] if shuffles > 1 else [])
     assert (tmp_path / "out" / f"shuffle-{shuffles - 1:02d}" /
             "trace.csv").exists()
 
@@ -594,6 +598,8 @@ def test_lone_run_pipelines_and_matches_one_cpu(tmp_path, monkeypatch):
         return pid
 
     monkeypatch.setattr(pipeline, "_fork", counting_fork)
+    monkeypatch.setattr(parallel, "PIPELINE_MIN_ARRIVALS",
+                        parallel.MIN_ARRIVALS)
     argv = source_argv(tmp_path, "csv") + ["--shuffles", "1"]
     outputs = []
     for cpus in (1, 2):

@@ -176,7 +176,7 @@ def test_pipelined_trace_digest(tmp_path, cut, method, notion):
             forked.append(pid)
         return pid
 
-    with mock.patch.object(parallel, "MIN_ARRIVALS", 500), \
+    with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 500), \
             mock.patch.object(pipeline, "_fork", counting_fork):
         digest, promotions = run_cut(cut, method, notion,
                                      tmp_path / "trace.csv", cpus=2)

@@ -8,7 +8,9 @@ trace, and a helper that dies must raise in the caller.
 
 import os
 import signal
+import sys
 import tempfile
+import threading
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
@@ -40,7 +42,7 @@ def switch_at(arrivals):
             forked.append(pid)
         return pid
 
-    with mock.patch.object(parallel, "MIN_ARRIVALS", arrivals), \
+    with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", arrivals), \
             mock.patch.object(pipeline, "_fork", counting_fork):
         yield forked
 
@@ -204,6 +206,55 @@ def test_head_and_tail_errors_keep_the_serial_order(head_method, raised):
         assert len(sink) == 599
 
 
+class NeedsTwoArguments(ArithmeticError):
+    """Pickles, but unpickling calls the class with one argument."""
+
+    def __init__(self, learner, reason):
+        super().__init__(f"learner {learner} failed: {reason}")
+        self.learner = learner
+
+
+class HoldsALock(ArithmeticError):
+    """Has an attribute that does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("make_error, piped_type, piped_message", [
+    (lambda: NeedsTwoArguments(0, "on purpose"), NeedsTwoArguments,
+     "learner 0 failed: on purpose"),
+    (lambda: HoldsALock("on purpose"), ArithmeticError,
+     "HoldsALock: on purpose"),
+], ids=["init_arguments", "unpicklable_attribute"])
+def test_errors_that_do_not_pickle(make_error, piped_type, piped_message):
+    """An error whose class takes other arguments than its args keeps its
+    type and message; one that does not pickle at all is raised as its
+    nearest builtin class, its message prefixed by its class name."""
+    gen = with_overrides(preset("paper_synth"), length=800, seed=6)
+    features = list(generate(gen))[599].features
+    outcomes = []
+    for cpus in (1, 2):
+        model = build("fabboo", Notion.SP, 4, gen)
+        error = make_error()
+        sink = []
+        with switch_at(300) as forked, \
+                learners_fail(model, [(0, "train_weighted", error)], features), \
+                pytest.raises(ArithmeticError) as info:
+            run(model, generate(gen), Notion.SP, cpus, trace=sink)
+        assert len(forked) == cpus - 1
+        outcomes.append((type(info.value), str(info.value), sink))
+    serial, piped = outcomes
+    assert serial[:2] == (type(error), str(error))
+    assert piped[:2] == (piped_type, piped_message)
+    assert piped[2] == serial[2]
+    if sys.version_info >= (3, 11):
+        notes = "".join(info.value.__notes__)
+        assert "raised in the pipeline's helper process" in notes
+        assert "in failing" in notes
+
+
 def test_dead_helper_raises_in_the_caller():
     gen = with_overrides(preset("paper_synth"), length=2_000, seed=4)
     model = build("fabboo", Notion.SP, 4, gen)
@@ -231,6 +282,15 @@ def test_dead_helper_raises_in_the_caller():
     assert no_children_left()
 
 
+@pytest.mark.parametrize("extra, forks", [(0, 0), (1, 1)])
+def test_the_pipeline_starts_after_its_threshold(extra, forks):
+    gen = with_overrides(preset("paper_synth"),
+                         length=parallel.PIPELINE_MIN_ARRIVALS + extra, seed=2)
+    with switch_at(parallel.PIPELINE_MIN_ARRIVALS) as forked:
+        run(build("osboost", None, 2, gen), generate(gen), None, cpus=2)
+    assert len(forked) == forks
+
+
 def test_the_pipeline_needs_two_cpus_two_trees_and_a_fork():
     gen = with_overrides(preset("paper_synth"), length=400, seed=5)
 
@@ -251,7 +311,7 @@ def test_the_pipeline_needs_two_cpus_two_trees_and_a_fork():
     def no_fork():
         raise AssertionError("a helper was forked")
 
-    with mock.patch.object(parallel, "MIN_ARRIVALS", 100), \
+    with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 100), \
             mock.patch.object(pipeline, "_fork", no_fork):
         for model, cpus in cases:
             run(model, generate(gen), None, cpus)
