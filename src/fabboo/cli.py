@@ -159,50 +159,26 @@ def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int,
     return summary
 
 
-_inherited_shuffle = None   # a pool helper's shuffle(i, cpus), set when it starts
-
-
-def _inherit(shuffle) -> None:
-    global _inherited_shuffle
-    _inherited_shuffle = shuffle
-
-
-def _helper_shuffle(i: int, cpus: int) -> Summary:
-    return _inherited_shuffle(i, cpus)
-
-
 def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
     """shuffle(i, cpus) for every i, in shuffle order, where cpus is the
     number of CPUs each shuffle may use.
 
     With two or more usable CPUs, at least parallel.MIN_ARRIVALS arrivals
-    per shuffle and `parallel.can_fork()`, the shuffles run on up to that
-    many processes: this one runs the first share itself while forked
-    helpers, which inherit `shuffle` and its data, run the rest. Only
-    shuffle indices and summaries cross between processes, and a helper's
-    exception is raised here. Pooled shuffles get one CPU each, so none
-    pipelines (the pool's manager thread would keep this process's shuffles
-    serial anyway). Otherwise they run one by one, each on every usable
-    CPU. Forking, unlike spawning, needs no fresh import or pickled dataset
-    per helper.
+    per shuffle and `parallel.can_fork()`, the shuffles are pooled on up to
+    that many processes (`pipeline.pooled`). The forked helpers inherit
+    `shuffle` and its data, so no dataset is pickled and only summaries
+    and errors cross between processes. The first failed shuffle's error
+    is raised here and stops the other helpers at once, so their shuffles'
+    outputs may be partial. Pooled shuffles get one CPU each, so none
+    pipelines. Otherwise the shuffles run one by one, each on every usable
+    CPU.
     """
     usable = parallel.usable_cpus()
     workers = min(shuffles, usable)
     if (workers > 1 and arrivals >= parallel.MIN_ARRIVALS
             and parallel.can_fork()):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        own = -(-shuffles // workers)   # ceil(shuffles / workers)
-        pool = ProcessPoolExecutor(
-            workers - 1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit, initargs=(shuffle,))
-        try:
-            helped = [pool.submit(_helper_shuffle, i, 1)
-                      for i in range(own, shuffles)]
-            summaries = [shuffle(i, 1) for i in range(own)]
-            return summaries + [f.result() for f in helped]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        from . import pipeline
+        return pipeline.pooled(lambda i: shuffle(i, 1), shuffles, workers)
     return [shuffle(i, usable) for i in range(shuffles)]
 
 

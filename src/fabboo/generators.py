@@ -35,11 +35,10 @@ class Schedule:
     """Piecewise function of the arrival index t (1-based).
 
     `points` are (t, value) control points sorted by t; between points the
-    value is interpolated linearly ("linear") or held ("step"); outside the
-    range the nearest endpoint value applies.
+    value is interpolated linearly; outside the range the nearest endpoint
+    value applies.
     """
     points: tuple[tuple[float, float], ...]
-    mode: str = "linear"
 
     def __post_init__(self):
         if not self.points:
@@ -47,8 +46,6 @@ class Schedule:
         ts = [t for t, _ in self.points]
         if ts != sorted(ts):
             raise GeneratorError("schedule control points must be sorted by t")
-        if self.mode not in ("linear", "step"):
-            raise GeneratorError(f"unknown schedule mode {self.mode!r}")
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":
@@ -60,9 +57,6 @@ class Schedule:
             return pts[0][1]
         for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
             if t <= t1:
-                if self.mode == "step":
-                    # a step takes effect at its breakpoint
-                    return v1 if t == t1 else v0
                 frac = (t - t0) / (t1 - t0)
                 return v0 + frac * (v1 - v0)
         return pts[-1][1]

@@ -1,19 +1,20 @@
 """When a run uses more than one process.
 
-Two parts of a run can use a second CPU, both by forking:
+Two parts of a run can use a second CPU, both through pipeline.py's
+forked helpers:
 
-- the shuffles of a `fabboo run` (`cli._run_shuffles`): a fork pool of
-  min(shuffles, usable CPUs) processes, the caller among them;
+- the shuffles of a `fabboo run` (`cli._run_shuffles`): this process and
+  min(shuffles, usable CPUs) - 1 helpers run a slice of them each;
 - the boosting chain of one run of a BoostedEnsemble (`arrivals` below):
-  a forked helper trains the first half of the learners ahead of the
-  caller (see pipeline.py).
+  a helper trains the first half of the learners ahead of the caller.
 
 The pool starts only after MIN_ARRIVALS arrivals per shuffle and the
 pipeline after PIPELINE_MIN_ARRIVALS, which repays what starting them
-costs, and both only when `can_fork()` holds: `os.fork` exists and this process runs one thread, since a fork copies every lock
-but no thread. `run_prequential` takes the number of CPUs a run may use,
-and the pipeline needs two: a run on its own gets every usable CPU, a
-pooled shuffle one, so pooled shuffles never pipeline.
+costs, and both only when `can_fork()` holds: `os.fork` exists and this
+process runs one thread, since a fork copies every lock but no thread.
+`run_prequential` takes the number of CPUs a run may use, and the
+pipeline needs two: a run on its own gets every usable CPU, a pooled
+shuffle one, so pooled shuffles never pipeline.
 """
 
 from __future__ import annotations

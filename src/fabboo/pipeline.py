@@ -1,8 +1,10 @@
-"""The boosting pipeline: a forked helper trains the head of the chain.
+"""Forked helper processes: `Helper(child)` forks a process that runs
+child(inbox, outbox) over two one-way pipes and exits. `pooled` runs a
+`fabboo run`'s shuffles on helpers, and `start` the boosting pipeline.
 
-Learner i's weight depends only on the label, ocis and the post-update
-margins of learners 1..i-1, never on the prediction, theta or the
-fairness ledger, so learners 1..k can run ahead of the rest without
+The pipeline: learner i's weight depends only on the label, ocis and the
+post-update margins of learners 1..i-1, never on the prediction, theta or
+the fairness ledger, so learners 1..k can run ahead of the rest without
 changing a float. `start` forks a helper that keeps learners[:k],
 k = ceil(N / 2), and a copy of the model's ImbalanceMonitor; parallel.py
 says when. The caller pulls up to LOOKAHEAD arrivals ahead of the one it
@@ -17,11 +19,13 @@ state.
 Errors surface where the serial loop meets them: an error of a head
 learner is raised by `predict` (scoring) or `train_instance` (training)
 on its arrival, and a source error pulled ahead is raised when the
-arrival it stands for is due. A head learner's error crosses from the
-helper pickled, with the helper's traceback as a note (Python 3.11+); an
-error that does not pickle is raised as its nearest builtin class (see
-`_portable`). A helper that dies raises RuntimeError. A model whose run
-failed is not to be reused: its head learners are as the fork left them.
+arrival it stands for is due. A model whose run failed is not to be
+reused: its head learners are as the fork left them.
+
+An error crosses from a helper pickled, with the helper's traceback as a
+note (Python 3.11+); an error that does not pickle is raised as its
+nearest builtin class (see `_portable`). A helper that dies raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import signal
 import time
 import traceback
 from collections import deque
+from functools import partial
 from multiprocessing.connection import Pipe
 
 from .boosting import NO_HEAD, margin_sum
@@ -47,16 +52,99 @@ _SPIN_S = 0.002
 _fork = os.fork
 
 
+class Helper:
+    """A forked process that runs child(inbox, outbox), where inbox and
+    outbox are its ends of two one-way pipes, and then exits."""
+
+    def __init__(self, child):
+        down_r, down_w = Pipe(duplex=False)   # to the helper
+        up_r, up_w = Pipe(duplex=False)       # back from it
+        try:
+            pid = _fork()
+        except BaseException:
+            for conn in (down_r, down_w, up_r, up_w):
+                conn.close()
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                down_w.close()
+                up_r.close()
+                child(down_r, up_w)
+                status = 0
+            finally:
+                os._exit(status)
+        down_r.close()
+        up_w.close()
+        self.pid = pid
+        self.inbox, self.outbox = up_r, down_w
+
+    def send(self, message) -> None:
+        try:
+            self.outbox.send(message)
+        except BrokenPipeError:
+            pass   # it failed or died; what it sent before says which
+
+    def recv(self):
+        """The helper's next message, polled for up to _SPIN_S before the
+        read blocks."""
+        try:
+            return _recv(self.inbox)
+        except EOFError:
+            raise RuntimeError("a helper process exited unexpectedly") \
+                from None
+
+    def close(self) -> None:
+        self.outbox.close()
+        self.inbox.close()
+        os.kill(self.pid, signal.SIGKILL)   # only this process reaps it
+        os.waitpid(self.pid, 0)
+
+
+def pooled(task, n: int, workers: int) -> list:
+    """[task(i) for i in range(n)] on `workers` processes: this one runs
+    the first ceil(n / workers) tasks while each of workers - 1 forked
+    helpers runs one contiguous slice of the rest. The error of the first
+    task, in task order, that failed is raised here, and the helpers still
+    running are stopped."""
+    bounds = [-(-j * n // workers) for j in range(workers + 1)]
+    helpers = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            helpers.append(Helper(partial(_run_slice, task, range(lo, hi))))
+        results = [task(i) for i in range(bounds[1])]
+        for helper in helpers:
+            ok, value = helper.recv()
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for helper in helpers:
+            helper.close()
+
+
+def _run_slice(task, indices, inbox, outbox) -> None:
+    try:
+        message = (True, [task(i) for i in indices])
+    except Exception as e:
+        message = (False, _portable(e))
+    outbox.send(message)
+
+
 def start(model, first, stream):
     """Fork the helper; returns the generator that serves `first` and the
     rest of `stream` through it."""
     k = -(-len(model.learners) // 2)
-    return _pipelined(model, k, _Helper(model, k), first, stream)
+    return _pipelined(model, k, Helper(partial(_serve, model, k)), first,
+                      stream)
 
 
 def _pipelined(model, k, helper, first, stream):
     pending = deque()      # pulled ahead, in arrival order
     outbox = []            # (features, label) pulled but not yet sent
+    heads = deque()        # the helper's results, in arrival order
+    final = None           # the helper's last message
     ended = False          # the stream ended or failed: all is sent
     failure = None         # the source's error, raised when it is due
     try:
@@ -75,91 +163,32 @@ def _pipelined(model, k, helper, first, stream):
                     pending.append(inst)
                     outbox.append((inst.features, inst.label))
                 if ended or len(outbox) == _BATCH:
-                    helper.send(outbox, last=ended)
+                    helper.send(outbox)
                     outbox = []
-            helper.next_head(model)
+                    if ended:   # the helper sees the end of the stream
+                        helper.outbox.close()
+            while not heads and final is None:
+                batch, final = helper.recv()
+                heads.extend(batch)
+            if heads:
+                model.head = heads.popleft()
+            else:   # the helper failed on this arrival
+                _, s, error = final
+                if s is None:
+                    raise error       # a head learner failed to score
+                model.head = (s, 0.0, 1.0)
+                model.head_error = error
             yield pending.popleft()
         if failure is not None:
             raise failure
-        model.learners[:k] = helper.learners()
+        while final is None:
+            _, final = helper.recv()
+        model.learners[:k] = final[1]
     finally:
         helper.close()
         model.tail = model.learners
         model.head = NO_HEAD
         model.head_error = None
-
-
-class _Helper:
-    """The caller's side of a forked helper that trains learners[:k]."""
-
-    def __init__(self, model, k: int):
-        down_r, down_w = Pipe(duplex=False)   # arrivals to the helper
-        up_r, up_w = Pipe(duplex=False)       # head results back
-        try:
-            pid = _fork()
-        except BaseException:
-            for conn in (down_r, down_w, up_r, up_w):
-                conn.close()
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                down_w.close()
-                up_r.close()
-                _serve(model, k, down_r, up_w)
-                status = 0
-            finally:
-                os._exit(status)
-        down_r.close()
-        up_w.close()
-        self.pid = pid
-        self.inbox, self.outbox = up_r, down_w
-        self.heads = deque()
-        self.final = None    # the helper's last message
-
-    def send(self, batch, last: bool) -> None:
-        """Send a batch of (features, label); after the `last` one the
-        helper sees the end of the stream."""
-        try:
-            self.outbox.send(batch)
-        except BrokenPipeError:
-            pass   # it failed or died; what it sent before says which
-        if last:
-            self.outbox.close()
-
-    def _receive(self) -> None:
-        try:
-            heads, self.final = _recv(self.inbox)
-        except EOFError:
-            raise RuntimeError("the pipeline's helper process exited "
-                               "unexpectedly") from None
-        self.heads.extend(heads)
-
-    def next_head(self, model) -> None:
-        """Set model.head to the helper's results on the next arrival, or
-        raise the helper's error on it."""
-        while not self.heads:
-            if self.final is not None and self.final[0] == "failed":
-                _, s, error = self.final
-                if s is None:
-                    raise error       # a head learner failed to score
-                model.head = (s, 0.0, 1.0)
-                model.head_error = error
-                return
-            self._receive()
-        model.head = self.heads.popleft()
-
-    def learners(self) -> list:
-        """The helper's learners, sent back at the end of the stream."""
-        while self.final is None:
-            self._receive()
-        return self.final[1]
-
-    def close(self) -> None:
-        self.outbox.close()
-        self.inbox.close()
-        os.kill(self.pid, signal.SIGKILL)   # only this process reaps it
-        os.waitpid(self.pid, 0)
 
 
 def _recv(conn):
@@ -212,7 +241,7 @@ def _portable(error: Exception) -> Exception:
     sent as an instance of its nearest builtin class, with its message
     (prefixed by its class name when the class differs).
     """
-    note = ("raised in the pipeline's helper process:\n"
+    note = ("raised in a helper process:\n"
             + "".join(traceback.format_exception(error)))
     if hasattr(error, "add_note"):   # Python 3.11+
         error.add_note(note)
@@ -232,7 +261,7 @@ def _portable(error: Exception) -> Exception:
             stand_in.add_note(note)
         if _round_trips(stand_in):
             return stand_in
-    return Exception(f"{name} in the pipeline's helper process")
+    return Exception(f"{name} in a helper process")
 
 
 def _round_trips(obj) -> bool:

@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import concurrent.futures
 import os
 import threading
 
@@ -452,17 +451,19 @@ POOLED_ROWS = parallel.MIN_ARRIVALS + 200
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Two usable CPUs, whatever the machine has; lists the helper count
-    of every process pool the CLI starts."""
+    """Two usable CPUs, whatever the machine has; lists the pid of every
+    helper process the CLI forks, in the order it forks them. Pooled
+    shuffles never pipeline, so in a pooled run these are the pool's."""
     started = []
+    fork = pipeline._fork
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(pipeline, "_fork", counting_fork)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     return started
 
@@ -484,15 +485,40 @@ def without_wall_s(text):
     return [l for l in text.splitlines() if not l.startswith("wall_s")]
 
 
-@pytest.mark.parametrize("kind", ["csv", "preset"])
-def test_pooled_shuffles_match_serial_runs(tmp_path, pools, kind):
+ONE_HELPER = (2, 3, [[0, 1], [2]])            # one helper next to the parent
+TWO_HELPERS = (3, 5, [[0, 1], [2, 3], [4]])   # one contiguous slice each
+
+
+@pytest.mark.parametrize("kind, cpus, shuffles, slices", [
+    ("csv", *ONE_HELPER), ("preset", *ONE_HELPER),
+    ("csv", *TWO_HELPERS), ("preset", *TWO_HELPERS),
+], ids=["csv", "preset", "csv-two-helpers", "preset-two-helpers"])
+def test_pooled_shuffles_match_serial_runs(tmp_path, monkeypatch, pools, kind,
+                                           cpus, shuffles, slices):
+    """The caller runs the first ceil(shuffles / cpus) shuffles and each
+    helper one contiguous slice of the rest."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    ran = tmp_path / "ran"     # shuffle index -> the pid that ran it
+    ran.mkdir()
+    run_shuffle = cli._run_shuffle
+
+    def recording(cfg, kinds, source, i, cpus):
+        (ran / str(i)).write_text(str(os.getpid()), encoding="utf-8")
+        return run_shuffle(cfg, kinds, source, i, cpus)
+
+    monkeypatch.setattr(cli, "_run_shuffle", recording)
     argv = source_argv(tmp_path, kind)
     pooled = tmp_path / "pooled"
-    assert main(argv + ["--seed", "5", "--shuffles", "3",
+    assert main(argv + ["--seed", "5", "--shuffles", str(shuffles),
                         "--out", str(pooled)]) == 0
-    assert pools == [1]   # one helper next to the parent
+    assert len(pools) == len(slices) - 1
+    by_pid = {}
+    for i in range(shuffles):
+        pid = int((ran / str(i)).read_text(encoding="utf-8"))
+        by_pid.setdefault(pid, []).append(i)
+    assert by_pid == dict(zip([os.getpid()] + pools, slices))
     summaries = []
-    for i in range(3):
+    for i in range(shuffles):
         serial = tmp_path / f"serial-{i}"
         assert main(argv + ["--seed", str(5 + i), "--shuffles", "1",
                             "--out", str(serial)]) == 0
@@ -505,7 +531,7 @@ def test_pooled_shuffles_match_serial_runs(tmp_path, pools, kind):
         summaries.append(Summary(**{
             k: ast.literal_eval(v) for k, _, v in
             (line.partition(" = ") for line in text.splitlines())}))
-    assert pools == [1]   # the one-shuffle runs stayed serial
+    assert len(pools) == len(slices) - 1   # the one-shuffle runs stayed serial
     assert without_wall_s((pooled / "aggregate.txt").read_text(
         encoding="utf-8")) == without_wall_s(cli.aggregate_text(summaries))
 
@@ -514,10 +540,10 @@ def test_pooled_shuffles_match_serial_runs(tmp_path, pools, kind):
                                                  (POOLED_ROWS, True)])
 def test_short_or_threaded_run_starts_no_pool(tmp_path, monkeypatch, rows,
                                               other_thread):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_pool():
+        raise AssertionError("a pool helper was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pipeline, "_fork", no_pool)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
@@ -538,8 +564,8 @@ def test_short_or_threaded_run_starts_no_pool(tmp_path, monkeypatch, rows,
     assert (tmp_path / "out" / "shuffle-02" / "trace.csv").exists()
 
 
-def no_fork():
-    raise AssertionError("a pipeline helper was forked")
+def no_pipeline(*args):
+    raise AssertionError("a pipeline was started")
 
 
 @pytest.mark.parametrize("rows, shuffles, cpus, other_thread", [
@@ -549,24 +575,15 @@ def no_fork():
     (POOLED_ROWS, 3, 2, False),    # pooled shuffles: one CPU each,
     (POOLED_ROWS, 2, 4, False),    # however many CPUs there are
 ])
-def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
-                                     cpus, other_thread):
-    """The fork factory raises, in the caller and in the pool's helpers,
-    so any pipeline fails the run; the pipeline would start at the pool's
-    threshold."""
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, pools, rows,
+                                     shuffles, cpus, other_thread):
+    """The pipeline's entry raises, in the caller and in the pool's
+    helpers, so any pipeline fails the run; the pipeline would start at
+    the pool's threshold."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(parallel, "PIPELINE_MIN_ARRIVALS",
                         parallel.MIN_ARRIVALS)
-    monkeypatch.setattr(pipeline, "_fork", no_fork)
+    monkeypatch.setattr(pipeline, "start", no_pipeline)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=write_dataset(tmp_path, rows),
                                           out=tmp_path / "out"),
@@ -582,7 +599,7 @@ def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, rows, shuffles,
         stop.set()
         if other_thread:
             waiter.join(5)
-    assert pools == ([min(shuffles, cpus) - 1] if shuffles > 1 else [])
+    assert len(pools) == (min(shuffles, cpus) - 1 if shuffles > 1 else 0)
     assert (tmp_path / "out" / f"shuffle-{shuffles - 1:02d}" /
             "trace.csv").exists()
 
@@ -630,7 +647,7 @@ def test_helper_failure_sets_exit_code(tmp_path, monkeypatch, capsys, pools,
     argv = source_argv(tmp_path, "csv")
     assert main(argv + ["--shuffles", "3", "--out",
                         str(tmp_path / "out")]) == code
-    assert pools == [1]
+    assert len(pools) == 1
     assert f"{prefix}: {error}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "aggregate.txt").exists()
 

@@ -31,12 +31,6 @@ def test_schedule_linear_interpolation():
     assert s.value(999) == 1.0
 
 
-def test_schedule_step_mode():
-    s = Schedule(((1.0, 0.2), (10.0, 0.8)), mode="step")
-    assert s.value(5) == 0.2
-    assert s.value(10) == 0.8
-
-
 def test_unsorted_points_rejected():
     with pytest.raises(GeneratorError):
         Schedule(((5.0, 0.1), (1.0, 0.2)))

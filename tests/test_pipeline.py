@@ -3,11 +3,13 @@
 A pipelined run must equal the serial run of the same model bit for bit:
 the trace, the summary (wall_s aside), theta and every learner's state.
 Errors must surface as the serial loop raises them, with the same partial
-trace, and a helper that dies must raise in the caller.
+trace, and a helper that dies must raise in the caller. Pooled shuffles
+use the same helpers, and no run may leave a process or descriptor behind.
 """
 
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from fabboo import (BoostedEnsemble, DataError, EvalConfig, Notion,
                     PRESET_NAMES, generate, method_params, preset,
                     run_prequential, with_overrides, write_trace)
-from fabboo import parallel, pipeline
+from fabboo import cli, parallel, pipeline
 from fabboo.tree import HoeffdingTree, _Node
 
 PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
@@ -251,8 +253,23 @@ def test_errors_that_do_not_pickle(make_error, piped_type, piped_message):
     assert piped[2] == serial[2]
     if sys.version_info >= (3, 11):
         notes = "".join(info.value.__notes__)
-        assert "raised in the pipeline's helper process" in notes
+        assert "raised in a helper process" in notes
         assert "in failing" in notes
+
+
+@contextmanager
+def alarm(seconds, message):
+    """Fail with `message` if the block runs longer than `seconds`."""
+    def hung(signum, frame):
+        raise AssertionError(message)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dead_helper_raises_in_the_caller():
@@ -264,19 +281,11 @@ def test_dead_helper_raises_in_the_caller():
         os.kill(forked[0], signal.SIGKILL)
         return inst
 
-    def hung(signum, frame):
-        raise AssertionError("the caller hangs on a dead helper")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with switch_at(300) as forked, \
-                pytest.raises(RuntimeError, match="helper process exited"):
-            run(model, stream_with_fault(gen, 500, kill_helper), Notion.SP,
-                cpus=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with alarm(60, "the caller hangs on a dead helper"), \
+            switch_at(300) as forked, \
+            pytest.raises(RuntimeError, match="helper process exited"):
+        run(model, stream_with_fault(gen, 500, kill_helper), Notion.SP,
+            cpus=2)
     assert len(forked) == 1
     assert open_fds() == fds
     assert no_children_left()
@@ -317,3 +326,65 @@ def test_the_pipeline_needs_two_cpus_two_trees_and_a_fork():
             run(model, generate(gen), None, cpus)
         with mock.patch.object(parallel, "can_fork", lambda: False):
             run(build("osboost", None, 2, gen), generate(gen), None, 2)
+
+
+def killed(i):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def fails(error):
+    def fail(i):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("failing, fault, code, message", [
+    (None, None, 0, ""),
+    (2, fails(DataError("bad row in a helper")), 3,
+     "data error: bad row in a helper"),
+    (0, fails(RuntimeError("the caller's shuffle failed")), 1,
+     "error: the caller's shuffle failed"),
+    (2, killed, 1, "helper process exited"),
+], ids=["success", "helper_data_error", "caller_fails", "helper_killed"])
+def test_pooled_run_leaves_no_process_or_descriptor(tmp_path, monkeypatch,
+                                                    capsys, failing, fault,
+                                                    code, message):
+    """Five shuffles on three CPUs: the caller runs 0-1 and two helpers
+    2-3 and 4. Shuffle 2 fails in the first helper, whose pipes' caller
+    ends the second helper inherits; shuffle 0 fails in the caller while
+    both helpers run."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    run_shuffle = cli._run_shuffle
+
+    def faulty(cfg, kinds, source, i, cpus):
+        if i == failing:
+            fault(i)
+        return run_shuffle(cfg, kinds, source, i, cpus)
+
+    monkeypatch.setattr(cli, "_run_shuffle", faulty)
+    argv = ["run", "--preset", "ratio_fixed", "--length",
+            str(parallel.MIN_ARRIVALS), "--learners", "2", "--shuffles", "5",
+            "--out", str(tmp_path / "out")]
+    fds = open_fds()
+    with alarm(120, "a pooled run hangs"), \
+            switch_at(parallel.PIPELINE_MIN_ARRIVALS) as forked:
+        assert cli.main(argv) == code
+    assert len(forked) == 2
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "out" / "aggregate.txt").exists() == (code == 0)
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    """What only a forking run needs is imported when it forks, which
+    keeps `import fabboo` and its compile time short."""
+    src = str(Path(pipeline.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, fabboo, fabboo.cli; print(sorted(m for m in "
+            "('fabboo.pipeline', 'pickle', 'multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout == "[]\n"
