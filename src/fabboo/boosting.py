@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .data import POSITIVE, NEGATIVE
-from .fairness import FairnessLedger, Notion, UndefinedRateError
+from .fairness import FairnessLedger, Notion
 from .imbalance import ImbalanceMonitor
 from .tree import HoeffdingTree
 
@@ -226,12 +226,10 @@ class BoostedEnsemble:
 
         value = self.ledger.value(notion)
         theta = 0.5
+        # value > 0 needs non-protected base events: the flips are defined
         if value > self.params.epsilon:
-            try:
-                n = self.ledger.required_flips(notion)
-            except UndefinedRateError:
-                n = None
-            if n is not None and n > 0 and len(self.window) > 0:
+            n = self.ledger.required_flips(notion)
+            if n > 0 and len(self.window) > 0:
                 theta = self.window.kth_highest(n)
         self.theta = theta
 
@@ -245,17 +243,21 @@ def margin_sum(learners, features, total: float) -> float:
 
 METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")
 FAIRNESS_METHODS = ("fabboo", "ofib", "cfbb")   # those that need a notion
+CHUNK = 1000   # default chunk size of the cfbb ledger
 
 
-def method_params(method: str, notion: Notion | None, *, learners: int = 20,
-                  gamma: float = 0.1, decay: float = 0.9, window: int = 2000,
-                  epsilon: float = 1e-4, smoothing: float = 1.0,
-                  chunk_size: int = 1000) -> EnsembleParams:
+def method_params(method: str, notion: Notion | None, *, chunk: int = CHUNK,
+                  **params) -> EnsembleParams:
     """Ensemble configuration for each named method variant.
 
     osboost: plain boosting; imbalance_only: imbalance adjustment without a
     fairness notion; ofib: fairness without imbalance adjustment; cfbb:
     fairness on a chunked (short-term) ledger; fabboo: the full method.
+
+    `chunk` is cfbb's chunk size, checked for every method. `params` go
+    to EnsembleParams as they are: any of its fields but the three that
+    the method sets (imbalance_adjust, notion and chunk); an omitted one
+    keeps its EnsembleParams default.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -263,16 +265,11 @@ def method_params(method: str, notion: Notion | None, *, learners: int = 20,
         raise ValueError(f"method {method!r} requires a fairness notion")
     if method not in FAIRNESS_METHODS and notion is not None:
         raise ValueError(f"method {method!r} does not take a fairness notion")
-    if chunk_size < 1:
+    if chunk < 1:
         raise ValueError("chunk must be >= 1")
     return EnsembleParams(
-        learners=learners,
-        gamma=gamma,
         imbalance_adjust=method in ("fabboo", "cfbb", "imbalance_only"),
         notion=notion,
-        epsilon=epsilon,
-        window=window,
-        decay=decay,
-        smoothing=smoothing,
-        chunk=chunk_size if method == "cfbb" else None,
+        chunk=chunk if method == "cfbb" else None,
+        **params,
     )

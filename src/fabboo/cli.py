@@ -123,9 +123,7 @@ def build_sources(cfg: ExperimentConfig):
             return shuffled(instances, cfg.seed + i)
 
         return cfg.schema.kinds(), len(instances), source
-    gen = preset(cfg.preset_name) if cfg.source_kind == "preset" else cfg.generator
-    if cfg.length is not None:
-        gen = with_overrides(gen, length=cfg.length)
+    gen = cfg.generator_config()
     return (gen.schema().kinds(), gen.length,
             lambda i: generate(with_overrides(gen, seed=cfg.seed + i)))
 
@@ -165,7 +163,8 @@ def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
 
     With two or more usable CPUs, at least parallel.MIN_ARRIVALS arrivals
     per shuffle and `parallel.can_fork()`, the shuffles are pooled on up to
-    that many processes (`pipeline.pooled`). The forked helpers inherit
+    that many processes (`pipeline.pooled`; when a fork fails, this
+    process runs the shuffles no helper took). The forked helpers inherit
     `shuffle` and its data, so no dataset is pickled and only summaries
     and errors cross between processes. The first failed shuffle's error
     is raised here and stops the other helpers at once, so their shuffles'
@@ -237,10 +236,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "export":
-            gen = preset(args.preset_name)
-            if args.length is not None:
-                gen = with_overrides(gen, length=args.length)
-            gen = with_overrides(gen, seed=args.seed)
+            gen = with_overrides(preset(args.preset_name), length=args.length,
+                                 seed=args.seed)
             save_csv(args.out, gen.schema(), generate(gen))
             print(f"wrote {gen.length} instances to {args.out}")
             return EXIT_OK
@@ -271,3 +268,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -44,10 +44,11 @@ import configparser
 import io
 from dataclasses import dataclass, replace
 
-from .boosting import EnsembleParams, method_params
+from .boosting import CHUNK, EnsembleParams, method_params
 from .data import AttributeSpec, DatasetSchema, DataError
 from .fairness import Notion
-from .generators import DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule
+from .generators import (DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule,
+                         preset, with_overrides)
 from .prequential import EvalConfig
 
 
@@ -83,29 +84,33 @@ class ExperimentConfig:
     length: int | None = None            # preset/generator length override
     method: str = "fabboo"
     notion: Notion | None = Notion.SP
-    learners: int = 20
-    gamma: float = 0.1
-    decay: float = 0.9                   # imbalance decay (the lambda knob)
-    window: int = 2000
-    epsilon: float = 1e-4
-    smoothing: float = 1.0
-    chunk: int = 1000
+    learners: int = EnsembleParams.learners
+    gamma: float = EnsembleParams.gamma
+    decay: float = EnsembleParams.decay  # imbalance decay (the lambda knob)
+    window: int = EnsembleParams.window
+    epsilon: float = EnsembleParams.epsilon
+    smoothing: float = EnsembleParams.smoothing
+    chunk: int = CHUNK
     shuffles: int = 1
     seed: int = 1
     stride: int = 100
     out_dir: str = "out"
 
     def ensemble_params(self) -> EnsembleParams:
-        return method_params(
-            self.method, self.notion, learners=self.learners,
-            gamma=self.gamma, decay=self.decay, window=self.window,
-            epsilon=self.epsilon, smoothing=self.smoothing,
-            chunk_size=self.chunk)
+        return method_params(self.method, self.notion, **{
+            field: getattr(self, field)
+            for section, _, field, _, _ in PARAMS if section == "method"})
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(stride=self.stride,
                           trace_notion=self.notion or Notion.SP,
                           decay=self.decay, smoothing=self.smoothing)
+
+    def generator_config(self) -> GeneratorConfig:
+        """The stream of a preset or generator source, `length` applied."""
+        gen = (preset(self.preset_name) if self.source_kind == "preset"
+               else self.generator)
+        return with_overrides(gen, length=self.length)
 
     def validate(self) -> None:
         """Check the whole run before any data is read. The method and its
@@ -125,6 +130,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown order {self.order!r}")
             if self.order == "stored" and self.shuffles > 1:
                 raise ConfigError("stored order admits only shuffles = 1")
+            if self.length is not None:
+                raise ConfigError("length applies only to preset and "
+                                  "generator sources")
         elif self.source_kind == "preset":
             if self.preset_name not in PRESET_NAMES:
                 raise ConfigError(f"unknown preset {self.preset_name!r}")
@@ -327,7 +335,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     elif cfg.source_kind == "preset":
         out.write(f"preset = {cfg.preset_name}\n")
     else:
-        g = cfg.generator
+        g = cfg.generator_config()
         out.write(f"pos_means = {', '.join(repr(v) for v in g.pos_means)}\n")
         out.write(f"neg_means = {', '.join(repr(v) for v in g.neg_means)}\n")
         out.write(f"stds = {', '.join(repr(v) for v in g.stds)}\n")

@@ -1,9 +1,13 @@
 """Group/outcome counters and the cumulative parity-based fairness metrics.
 
-The ledger keeps lifetime counts of prediction events per group (protected
-z vs non-protected). Three metrics are derived, each a rate difference
-"non-protected minus protected" in [-1, 1], smoothed by adding `smoothing`
-to every denominator:
+The ledger keeps lifetime counts of prediction events in one block of
+counts per group, `z` (protected) and `o` (non-protected). A block counts
+the group's arrivals, those labelled positive and negative, its positive
+predictions, true positives and true negatives; `record` updates the
+arriving instance's block along one code path. Three metrics are derived
+from the two blocks, each a rate difference "non-protected minus
+protected" in [-1, 1], smoothed by adding `smoothing` to every
+denominator:
 
     statistical parity   positive-prediction rate difference
     equal opportunity    true-positive-rate difference
@@ -18,7 +22,7 @@ that would have to flip to restore parity right now. It uses the raw
 and may be negative when the protected group is ahead (reverse
 discrimination).
 
-In chunked mode all counters reset every `chunk_size` recorded events, so
+In chunked mode both blocks reset every `chunk_size` recorded events, so
 the metrics reflect only the current chunk (short-term monitoring).
 """
 
@@ -40,12 +44,19 @@ class UndefinedRateError(Exception):
     this as 'no adjustment'."""
 
 
+class GroupCounts:
+    """One group's outcome counts: arrivals, positive and negative labels,
+    positive predictions, true positives and true negatives."""
+
+    __slots__ = ("seen", "pos", "neg", "pred_pos", "tp", "tn")
+
+    def __init__(self):
+        self.seen = self.pos = self.neg = 0
+        self.pred_pos = self.tp = self.tn = 0
+
+
 class FairnessLedger:
-    __slots__ = (
-        "smoothing", "chunk_size", "_in_chunk",
-        "seen_z", "seen_pos_z", "seen_neg_z", "pred_pos_z", "tp_z", "tn_z",
-        "seen_o", "seen_pos_o", "seen_neg_o", "pred_pos_o", "tp_o", "tn_o",
-    )
+    __slots__ = ("smoothing", "chunk_size", "_in_chunk", "z", "o")
 
     def __init__(self, smoothing: float = 1.0, chunk_size: int | None = None):
         if smoothing < 0:
@@ -58,49 +69,35 @@ class FairnessLedger:
 
     def _reset_counters(self) -> None:
         self._in_chunk = 0
-        self.seen_z = self.seen_pos_z = self.seen_neg_z = 0
-        self.pred_pos_z = self.tp_z = self.tn_z = 0
-        self.seen_o = self.seen_pos_o = self.seen_neg_o = 0
-        self.pred_pos_o = self.tp_o = self.tn_o = 0
+        self.z = GroupCounts()
+        self.o = GroupCounts()
 
     def record(self, group: bool, true_label: int, predicted_label: int) -> None:
-        if self.chunk_size is not None and self._in_chunk == self.chunk_size:
+        if self._in_chunk == self.chunk_size:   # never when unchunked
             self._reset_counters()
         self._in_chunk += 1
-        pos = true_label == POSITIVE
-        pred_pos = predicted_label == POSITIVE
-        if group:
-            self.seen_z += 1
-            if pos:
-                self.seen_pos_z += 1
-                if pred_pos:
-                    self.tp_z += 1
-            else:
-                self.seen_neg_z += 1
-                if not pred_pos:
-                    self.tn_z += 1
-            if pred_pos:
-                self.pred_pos_z += 1
+        c = self.z if group else self.o
+        c.seen += 1
+        if true_label == POSITIVE:
+            c.pos += 1
+            if predicted_label == POSITIVE:
+                c.pred_pos += 1
+                c.tp += 1
         else:
-            self.seen_o += 1
-            if pos:
-                self.seen_pos_o += 1
-                if pred_pos:
-                    self.tp_o += 1
+            c.neg += 1
+            if predicted_label == POSITIVE:
+                c.pred_pos += 1
             else:
-                self.seen_neg_o += 1
-                if not pred_pos:
-                    self.tn_o += 1
-            if pred_pos:
-                self.pred_pos_o += 1
+                c.tn += 1
 
     def _rates(self, notion: Notion) -> tuple[int, int, int, int]:
         """(favorable_zbar, base_zbar, favorable_z, base_z) raw counts."""
+        o, z = self.o, self.z
         if notion is Notion.SP:
-            return self.pred_pos_o, self.seen_o, self.pred_pos_z, self.seen_z
+            return o.pred_pos, o.seen, z.pred_pos, z.seen
         if notion is Notion.EQOP:
-            return self.tp_o, self.seen_pos_o, self.tp_z, self.seen_pos_z
-        return self.tn_o, self.seen_neg_o, self.tn_z, self.seen_neg_z
+            return o.tp, o.pos, z.tp, z.pos
+        return o.tn, o.neg, z.tn, z.neg
 
     def value(self, notion: Notion) -> float:
         """Smoothed cumulative rate difference, non-protected minus protected.

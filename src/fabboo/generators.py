@@ -190,13 +190,13 @@ def generate(config: GeneratorConfig) -> Iterator[Instance]:
                        POSITIVE if positive else NEGATIVE, t)
 
 
-def _gauss_config(d: int, gap: float, n: int, ratio: Schedule, bias: Schedule,
+def _gauss_config(gaps, n: int, ratio: Schedule, bias: Schedule,
                   drifts=()) -> GeneratorConfig:
-    half = gap / 2.0
+    """Unit-std class Gaussians whose means lie +/- gap / 2 around 0."""
     return GeneratorConfig(
-        pos_means=(half,) * d,
-        neg_means=(-half,) * d,
-        stds=(1.0,) * d,
+        pos_means=tuple(g / 2 for g in gaps),
+        neg_means=tuple(-g / 2 for g in gaps),
+        stds=(1.0,) * len(gaps),
         ratio=ratio,
         bias=bias,
         length=n,
@@ -235,49 +235,37 @@ def preset(name: str) -> GeneratorConfig:
             for frac, mag in zip((0.15, 0.30, 0.45, 0.60, 0.75),
                                  (0.2, -0.2, 0.2, -0.2, 0.2)))
         # attributes of graded strength: one dominant, a tail of weak ones
-        gaps = (1.5, 0.6, 0.4, 0.3, 0.2, 0.1)
-        return GeneratorConfig(
-            pos_means=tuple(g / 2 for g in gaps),
-            neg_means=tuple(-g / 2 for g in gaps),
-            stds=(1.0,) * 6,
-            ratio=Schedule.constant(1.0 / 4.13),
-            bias=Schedule.constant(0.25),
-            length=n,
-            drifts=drifts)
+        return _gauss_config((1.5, 0.6, 0.4, 0.3, 0.2, 0.1), n,
+                             Schedule.constant(1.0 / 4.13),
+                             Schedule.constant(0.25), drifts)
     n = 50_000
     if name == "ratio_fixed":
-        return _gauss_config(6, 0.4, n, Schedule.constant(0.25),
+        return _gauss_config((0.4,) * 6, n, Schedule.constant(0.25),
                              Schedule.constant(0.2))
     if name == "ratio_increasing":
-        return _gauss_config(6, 0.4, n, Schedule(((1.0, 0.10), (n, 0.50))),
+        return _gauss_config((0.4,) * 6, n, Schedule(((1.0, 0.10), (n, 0.50))),
                              Schedule.constant(0.15))
     if name == "ratio_decreasing":
-        return _gauss_config(6, 0.4, n, Schedule(((1.0, 0.50), (n, 0.10))),
+        return _gauss_config((0.4,) * 6, n, Schedule(((1.0, 0.50), (n, 0.10))),
                              Schedule.constant(0.15))
     if name == "ratio_fluctuating":
-        return _gauss_config(6, 0.4, n,
+        return _gauss_config((0.4,) * 6, n,
                              Schedule(((1.0, 0.25), (n / 2, 0.70), (n, 0.25))),
                              Schedule.constant(0.2))
     if name == "drift_sudden":
         # two informative attributes plus noise: leaves are close to pure
         # when the swap hits, which is what makes frozen trees stay wrong
-        gaps = (2.2, 1.2, 0.0, 0.0, 0.0, 0.0)
         drift = DriftEvent("sudden", 25_000, 0, 1.0)
-        return GeneratorConfig(
-            pos_means=tuple(g / 2 for g in gaps),
-            neg_means=tuple(-g / 2 for g in gaps),
-            stds=(1.0,) * 6,
-            ratio=Schedule.constant(0.5),
-            bias=_fluctuating_bias(n),
-            length=n,
-            drifts=(drift,))
+        return _gauss_config((2.2, 1.2, 0.0, 0.0, 0.0, 0.0), n,
+                             Schedule.constant(0.5), _fluctuating_bias(n),
+                             (drift,))
     if name == "drift_gradual":
         drift = DriftEvent("gradual", 10_000, 25_000, 1.0)
-        return _gauss_config(6, 0.8, n, Schedule.constant(0.5),
+        return _gauss_config((0.8,) * 6, n, Schedule.constant(0.5),
                              _fluctuating_bias(n), (drift,))
     if name == "drift_recurrent":
         drift = DriftEvent("recurrent", 10_000, 30_000, 1.0)
-        return _gauss_config(6, 0.8, n, Schedule.constant(0.5),
+        return _gauss_config((0.8,) * 6, n, Schedule.constant(0.5),
                              _fluctuating_bias(n), (drift,))
     raise GeneratorError(f"unknown preset {name!r}")
 

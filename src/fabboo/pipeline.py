@@ -104,21 +104,26 @@ class Helper:
 def pooled(task, n: int, workers: int) -> list:
     """[task(i) for i in range(n)] on `workers` processes: this one runs
     the first ceil(n / workers) tasks while each of workers - 1 forked
-    helpers runs one contiguous slice of the rest. The error of the first
-    task, in task order, that failed is raised here, and the helpers still
-    running are stopped."""
+    helpers runs one contiguous slice of the rest; after a failed fork,
+    this process also runs the slices no helper took. The error of the
+    first task, in task order, that failed is raised here, and the helpers
+    still running are stopped."""
     bounds = [-(-j * n // workers) for j in range(workers + 1)]
     helpers = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            helpers.append(Helper(partial(_run_slice, task, range(lo, hi))))
+            try:
+                helper = Helper(partial(_run_slice, task, range(lo, hi)))
+            except OSError:   # no process to be had
+                break
+            helpers.append(helper)
         results = [task(i) for i in range(bounds[1])]
         for helper in helpers:
             ok, value = helper.recv()
             if not ok:
                 raise value
             results += value
-        return results
+        return results + [task(i) for i in range(len(results), n)]
     finally:
         for helper in helpers:
             helper.close()

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol
 
+from .boosting import EnsembleParams
 from .data import Instance
 from .fairness import FairnessLedger, Notion
 from .imbalance import ImbalanceMonitor
@@ -39,8 +40,8 @@ class OnlineClassifier(Protocol):
 class EvalConfig:
     stride: int = 1
     trace_notion: Notion = Notion.SP   # which fairness value the trace carries
-    decay: float = 0.9                 # reporting imbalance-monitor decay
-    smoothing: float = 1.0             # reporting fairness-ledger smoothing
+    decay: float = EnsembleParams.decay           # reporting monitor decay
+    smoothing: float = EnsembleParams.smoothing   # reporting ledger smoothing
 
     def __post_init__(self):
         if self.stride < 1:

@@ -295,7 +295,7 @@ def test_method_flag_combinations():
     assert method_params("imbalance_only", None).imbalance_adjust is True
     ofib = method_params("ofib", Notion.SP)
     assert ofib.imbalance_adjust is False and ofib.chunk is None
-    cfbb = method_params("cfbb", Notion.EQOP, chunk_size=500)
+    cfbb = method_params("cfbb", Notion.EQOP, chunk=500)
     assert cfbb.imbalance_adjust is True and cfbb.chunk == 500
     with pytest.raises(ValueError):
         method_params("osboost", Notion.SP)

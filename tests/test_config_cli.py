@@ -3,11 +3,15 @@
 import argparse
 import ast
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from fabboo import Notion, parse_config_text, config_to_text
+from fabboo import (EnsembleParams, EvalConfig, Notion, method_params,
+                    parse_config_text, config_to_text)
 from fabboo import cli, parallel, pipeline
 from fabboo.cli import main
 from fabboo.config import ConfigError, ExperimentConfig
@@ -103,6 +107,14 @@ def test_invalid_method_notion_combinations():
         replace(base, shuffles=0).validate()
     with pytest.raises(ConfigError):
         replace(base, source_kind="csv", csv_path=None).validate()
+
+
+def test_defaults_come_from_the_ensemble_params():
+    assert ExperimentConfig().ensemble_params() == \
+        method_params("fabboo", Notion.SP)
+    params, evaluation = EnsembleParams(), EvalConfig()
+    assert (evaluation.decay, evaluation.smoothing) == \
+        (params.decay, params.smoothing)
 
 
 def test_stored_order_forbids_multiple_shuffles(tmp_path):
@@ -313,6 +325,7 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--method", "osboost"], "fairness"),
     (["--fairness", "none"], "fairness"),
     (["--dataset", "absent.csv", "--learners", "0"], "learners"),
+    (["--length", "10"], "length"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)
@@ -420,6 +433,33 @@ def test_generator_source_run(tmp_path):
                         encoding="utf-8")
     assert main(["run", "--config", str(cfg_file)]) == 0
     assert (tmp_path / "out" / "shuffle-00" / "trace.csv").exists()
+
+
+def test_generator_length_flag_survives_in_config_cfg(tmp_path):
+    """--length 150 cuts the stream before its drift at arrival 200; the
+    written config.cfg must reproduce the run."""
+    cfg_file = tmp_path / "gen.cfg"
+    cfg_file.write_text(GENERATOR_CONFIG.format(out=tmp_path / "cut"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file), "--length", "150"]) == 0
+    written = tmp_path / "cut" / "config.cfg"
+    assert main(["run", "--config", str(written),
+                 "--out", str(tmp_path / "again")]) == 0
+    trace = [(tmp_path / d / "shuffle-00" / "trace.csv").read_bytes()
+             for d in ("cut", "again")]
+    assert trace[0] == trace[1]
+    assert len(trace[0].splitlines()) == 1 + 150 // 10
+
+
+def test_module_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "fabboo.cli", "run", "--preset",
+                    "ratio_fixed", "--length", "50", "--learners", "2",
+                    "--out", str(out)], capture_output=True, check=True,
+                   timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert (out / "aggregate.txt").exists()
 
 
 def test_sweep_table(tmp_path):

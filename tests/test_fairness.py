@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabboo import FairnessLedger, Notion, UndefinedRateError
 from fabboo.data import POSITIVE, NEGATIVE
@@ -39,6 +40,11 @@ def brute_force(events, notion, smoothing):
     return value, flips
 
 
+LABELS = st.sampled_from((POSITIVE, NEGATIVE))
+# (group, true label, predicted label) streams
+EVENTS = st.lists(st.tuples(st.booleans(), LABELS, LABELS), max_size=40)
+
+
 def random_events(rng, n):
     return [(rng.random() < 0.4, rng.choice((POSITIVE, NEGATIVE)),
              rng.choice((POSITIVE, NEGATIVE))) for _ in range(n)]
@@ -49,15 +55,17 @@ def random_events(rng, n):
 def test_record_protected_true_positive():
     led = FairnessLedger()
     led.record(True, POSITIVE, POSITIVE)
-    assert (led.seen_z, led.seen_pos_z, led.pred_pos_z, led.tp_z) == (1, 1, 1, 1)
-    assert led.tn_z == 0 and led.seen_o == 0
+    z = led.z
+    assert (z.seen, z.pos, z.pred_pos, z.tp) == (1, 1, 1, 1)
+    assert z.tn == 0 and led.o.seen == 0
 
 
 def test_record_nonprotected_false_positive():
     led = FairnessLedger()
     led.record(False, NEGATIVE, POSITIVE)
-    assert (led.seen_o, led.seen_neg_o, led.pred_pos_o) == (1, 1, 1)
-    assert led.tn_o == 0 and led.tp_o == 0
+    o = led.o
+    assert (o.seen, o.neg, o.pred_pos) == (1, 1, 1)
+    assert o.tn == 0 and o.tp == 0
 
 
 def test_chunked_reset_on_boundary():
@@ -66,7 +74,7 @@ def test_chunked_reset_on_boundary():
         led.record(True, POSITIVE, POSITIVE)
     led.record(False, NEGATIVE, NEGATIVE)
     # fourth record lands in a fresh chunk
-    assert led.seen_z == 0 and led.seen_o == 1 and led.tn_o == 1
+    assert led.z.seen == 0 and led.o.seen == 1 and led.o.tn == 1
 
 
 # ------------------------------------------------------------------ values
@@ -182,13 +190,49 @@ def test_parity_repair_leaves_floor_residual():
         led = FairnessLedger()
         for g, y, p in random_events(rng, rng.randrange(4, 50)):
             led.record(g, y, p)
-        if led.seen_o == 0 or led.seen_z == 0:
+        o, z = led.o, led.z
+        if o.seen == 0 or z.seen == 0:
             continue
         n = led.required_flips(Notion.SP)
-        if n <= 0 or led.pred_pos_z + n > led.seen_z:
+        if n <= 0 or z.pred_pos + n > z.seen:
             continue
-        led.pred_pos_z += n  # grant exactly n extra favorable outcomes
-        raw = led.pred_pos_o / led.seen_o - led.pred_pos_z / led.seen_z
-        assert 0.0 <= raw < 1.0 / led.seen_z
+        z.pred_pos += n  # grant exactly n extra favorable outcomes
+        raw = o.pred_pos / o.seen - z.pred_pos / z.seen
+        assert 0.0 <= raw < 1.0 / z.seen
         repaired += 1
     assert repaired > 50  # the property was actually exercised
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=EVENTS, chunk_size=st.sampled_from((None, *range(1, 9))),
+       smoothing=st.sampled_from((0.5, 1.0, 3.0)))
+def test_ledger_matches_oracle_since_last_reset(events, chunk_size, smoothing):
+    """After every record, each value and flip count equals the oracle's
+    over the events of the current chunk (all of them when unchunked)."""
+    led = FairnessLedger(smoothing, chunk_size)
+    for k, event in enumerate(events, 1):
+        led.record(*event)
+        start = 0 if chunk_size is None else (k - 1) // chunk_size * chunk_size
+        for notion in Notion:
+            expect_value, expect_flips = brute_force(events[start:k], notion,
+                                                     smoothing)
+            assert led.value(notion) == expect_value
+            if expect_flips is None:
+                with pytest.raises(UndefinedRateError):
+                    led.required_flips(notion)
+            else:
+                assert led.required_flips(notion) == expect_flips
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=EVENTS,
+       smoothing=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_positive_value_means_flips_are_defined(events, smoothing):
+    """The boundary asks for the flips only when the value exceeds
+    epsilon >= 0, so a positive value must never meet an undefined rate."""
+    led = FairnessLedger(smoothing)
+    for event in events:
+        led.record(*event)
+        for notion in Notion:
+            if led.value(notion) > 0:
+                led.required_flips(notion)

@@ -7,6 +7,7 @@ trace, and a helper that dies must raise in the caller. Pooled shuffles
 use the same helpers, and no run may leave a process or descriptor behind.
 """
 
+import errno
 import os
 import signal
 import subprocess
@@ -372,6 +373,44 @@ def test_pooled_run_leaves_no_process_or_descriptor(tmp_path, monkeypatch,
     assert len(forked) == 2
     assert message in capsys.readouterr().err
     assert (tmp_path / "out" / "aggregate.txt").exists() == (code == 0)
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+@pytest.mark.parametrize("failing_fork", [1, 2])
+def test_pooled_run_whose_fork_fails_runs_the_rest_itself(tmp_path,
+                                                         monkeypatch,
+                                                         failing_fork):
+    """Five shuffles on three CPUs, the fork failing at the first or the
+    second helper: no further helper is forked, the caller runs the slices
+    that no helper took, and the outputs are those of a serial run."""
+    def outputs(out):
+        argv = ["run", "--preset", "ratio_fixed", "--length",
+                str(parallel.MIN_ARRIVALS), "--learners", "2",
+                "--shuffles", "5", "--stride", "1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        return {path.relative_to(out): [
+                    line for line in path.read_bytes().splitlines()
+                    if not line.startswith((b"wall_s", b"dir = "))]
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    serial = outputs(tmp_path / "serial")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    forks = []
+    fork = pipeline._fork
+
+    def failing():
+        forks.append(None)
+        if len(forks) == failing_fork:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(pipeline, "_fork", failing)
+    fds = open_fds()
+    with alarm(120, "a pooled run hangs"):
+        assert outputs(tmp_path / "pooled") == serial
+    assert len(forks) == failing_fork
     assert open_fds() == fds
     assert no_children_left()
 
