@@ -95,10 +95,10 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
     """Parse a comma-separated UTF-8 file (header row first) against `schema`
     into its instances, in file order.
 
-    Rows are checked strictly: every schema column must be present, tokens
-    in numeric columns must parse as finite floats (no nan or inf, and no
-    literal that overflows to inf), categorical tokens must belong
-    to the declared alphabet, and missing (empty) values are rejected.
+    Rows are checked strictly: every schema column must be present, and
+    once, tokens in numeric columns must parse as finite floats (no nan or
+    inf, and no literal that overflows to inf), categorical tokens must
+    belong to the declared alphabet, and missing (empty) values are rejected.
     Row numbers in error messages count data rows from 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -108,6 +108,9 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
         except StopIteration:
             raise DataError(f"{path}: empty file (no header row)")
         col = {name: i for i, name in enumerate(header)}
+        if len(col) < len(header):
+            dup = next(h for i, h in enumerate(header) if col[h] != i)
+            raise DataError(f"{path}: duplicate column {dup!r}")
         for a in schema.attributes:
             if a.name not in col:
                 raise DataError(f"{path}: missing column {a.name!r}")

@@ -41,8 +41,11 @@ from multiprocessing.connection import Pipe
 
 from .boosting import NO_HEAD, margin_sum
 
-# arrivals the caller pulls and sends ahead of the one it serves
-LOOKAHEAD = 64
+# arrivals the caller pulls and sends ahead of the one it serves: enough
+# that neither side drains the other's buffer while the host deschedules
+# it for a few ms, and few enough that the helper's results for them (about
+# 16 kB) fit in a pipe, so that the helper never blocks on a send
+LOOKAHEAD = 512
 # arrivals per message between the caller and the helper
 _BATCH = 16
 # a wait polls this long before it blocks: a blocked process wakes late

@@ -67,9 +67,9 @@ class _Node:
         self.cat_children = None
         self.wp = 0.0
         self.wn = 0.0
-        # per numeric attr: [mean+, M2+, mean-, M2-]; the class weights
-        # are wp and wn, which every attribute shares
-        self.num_stats = [[0.0] * 4 for _ in range(n_numeric)]
+        # [means+, M2+, means-, M2-], each a list over the numeric attrs;
+        # the class weights are wp and wn, which every attribute shares
+        self.num_stats = [[0.0] * n_numeric for _ in range(4)]
         # per categorical attr: value -> [w+, w-]
         self.cat_stats = [dict() for _ in range(n_categorical)]
         self.weight_since = 0.0
@@ -79,10 +79,6 @@ class _Node:
         self.warm = 1.0   # decay**seen_weight, for bias correction
         self.seen_w = 0.0
         self.alt = None
-
-    def corrected_err(self) -> float:
-        denom = 1.0 - self.warm
-        return self.err / denom if denom > 1e-9 else 0.0
 
 
 def _entropy2(a: float, b: float) -> float:
@@ -110,6 +106,7 @@ class HoeffdingTree:
         self.params = params or TreeParams()
         self.kinds = tuple(kinds)
         self.numeric_idx = tuple(i for i, k in enumerate(self.kinds) if k == "num")
+        self._numeric_pos = tuple(enumerate(self.numeric_idx))
         self.cat_idx = tuple(i for i, k in enumerate(self.kinds) if k == "cat")
         if len(self.numeric_idx) + len(self.cat_idx) != len(self.kinds):
             raise DataError("attribute kinds must be 'num' or 'cat'")
@@ -123,6 +120,9 @@ class HoeffdingTree:
         self._adaptive = p.adaptive
         self._warmup = p.drift_warmup
         self._decay = p.drift_decay
+        # kept apart, not as their ratio, which rounds differently
+        self._one_minus_d = 1.0 - p.drift_decay
+        self._one_plus_d = 1.0 + p.drift_decay
         self._warn_sigmas = p.warn_sigmas
         self._grace = p.grace_weight
         self._alt_min = p.alt_min_weight
@@ -143,17 +143,17 @@ class HoeffdingTree:
         if weight == 0.0:
             return self.predict_margin(x)
         aw = self._decay ** weight if self._adaptive else 1.0
-        leaf = self._train_subtree(self.root, x, label, weight, aw,
-                                   allow_alts=self._adaptive)
+        leaf = self._train_subtree(self.root, x, label == POSITIVE, weight,
+                                   aw, allow_alts=self._adaptive)
         if leaf is None or leaf.split_attr is not None:
             return self.predict_margin(x)
         return (leaf.wp - leaf.wn) / (leaf.wp + leaf.wn + 2.0)
 
-    def _train_subtree(self, node, x, label, w, aw, allow_alts):
-        """Learn (x, label) at its leaf under `node`; returns that leaf, or
-        None when an alternate replaced a node on the path."""
-        path = [node]
+    def _train_subtree(self, node, x, pos, w, aw, allow_alts):
+        """Learn x, positive when `pos`, at its leaf under `node`; returns
+        that leaf, or None when an alternate replaced a node on the path."""
         n = node
+        path = (n,) if n.split_attr is None else [n]
         while n.split_attr is not None:
             v = x[n.split_attr]
             if n.threshold is not None:
@@ -169,7 +169,7 @@ class HoeffdingTree:
 
         if self._adaptive:
             # alternates share no node with this tree: they may train first
-            correct = (leaf.wp >= leaf.wn) == (label == POSITIVE)
+            correct = (leaf.wp >= leaf.wn) == pos
             inc = 0.0 if correct else 1.0 - aw
             warmup = self._warmup
             for nd in path:
@@ -178,9 +178,9 @@ class HoeffdingTree:
                 nd.seen_w += w
                 if nd.seen_w >= warmup and err < nd.err_min:
                     nd.err_min = err
-                    d = self._decay
                     nd.warn_at = err + self._warn_sigmas * math.sqrt(
-                        max(err * (1.0 - err), 0.0025) * (1.0 - d) / (1.0 + d))
+                        max(err * (1.0 - err), 0.0025) * self._one_minus_d
+                        / self._one_plus_d)
                 if not allow_alts:
                     continue
                 alt = nd.alt
@@ -191,27 +191,27 @@ class HoeffdingTree:
                     # the anomaly that spawned the alternate has subsided
                     nd.alt = None
                 else:
-                    self._train_subtree(alt, x, label, w, aw, allow_alts=False)
+                    self._train_subtree(alt, x, pos, w, aw, allow_alts=False)
                     if alt.seen_w >= self._alt_min and self._resolve_alternate(nd):
                         return None  # the rest of the path, leaf included, is gone
 
         # leaf statistics
-        pos = label == POSITIVE
+        stats = leaf.num_stats
         if pos:
             leaf.wp += w
             r = w / leaf.wp
-            m, s2 = 0, 1
+            means, m2 = stats[0], stats[1]
         else:
             leaf.wn += w
             r = w / leaf.wn
-            m, s2 = 2, 3
-        for st, i in zip(leaf.num_stats, self.numeric_idx):
+            means, m2 = stats[2], stats[3]
+        for j, i in self._numeric_pos:
             xv = x[i]
-            mean = st[m]
+            mean = means[j]
             delta = xv - mean
             mean += r * delta
-            st[m] = mean
-            st[s2] += w * delta * (xv - mean)
+            means[j] = mean
+            m2[j] += w * delta * (xv - mean)
         for d, i in zip(leaf.cat_stats, self.cat_idx):
             v = x[i]
             cell = d.get(v)
@@ -241,7 +241,7 @@ class HoeffdingTree:
         best_threshold = 0.0
         best_cats = None   # value tallies of the best attribute if categorical
 
-        for st, i in zip(leaf.num_stats, self.numeric_idx):
+        for st, i in zip(zip(*leaf.num_stats), self.numeric_idx):
             g, thr = self._best_numeric_split(st, wp, wn, total, h0)
             if g > best_gain:
                 second_gain = best_gain
@@ -318,16 +318,24 @@ class HoeffdingTree:
         """Promote or discard the alternate of `nd`, still under warning
         and past alt_min_weight; True when it replaced the subtree."""
         alt = nd.alt
-        main_err = nd.corrected_err()
-        alt_err = alt.corrected_err()
+        # bias-corrected decayed errors
+        denom = 1.0 - nd.warm
+        main_err = nd.err / denom if denom > 1e-9 else 0.0
+        denom = 1.0 - alt.warm
+        alt_err = alt.err / denom if denom > 1e-9 else 0.0
+        margin = self.params.replace_margin
+        # the promotion bar below is at least `margin`, and
+        # alt_err - main_err == -(main_err - alt_err) exactly: inside the
+        # margin an alternate short of alt_discard_weight stays undecided
+        if -margin < main_err - alt_err < margin \
+                and alt.seen_w < self.params.alt_discard_weight:
+            return False
         # the advantage must clear both the flat margin and the combined
         # noise of the two decayed estimates (the challenger's is young)
-        d = self.params.drift_decay
-        unit = (1.0 - d) / (1.0 + d)
+        unit = self._one_minus_d / self._one_plus_d
         var = (max(main_err * (1.0 - main_err), 0.0025)
                + max(alt_err * (1.0 - alt_err), 0.0025)) * unit
-        needed = max(self.params.replace_margin,
-                     self.params.warn_sigmas * math.sqrt(var))
+        needed = max(margin, self.params.warn_sigmas * math.sqrt(var))
         if main_err - alt_err >= needed:
             # promote: the alternate's content takes the node's place
             nd.split_attr = alt.split_attr
@@ -343,7 +351,7 @@ class HoeffdingTree:
             nd.alt = None
             self.replacements += 1
             return True
-        if alt_err - main_err >= self.params.replace_margin \
+        if alt_err - main_err >= margin \
                 or alt.seen_w >= self.params.alt_discard_weight:
             nd.alt = None
         return False

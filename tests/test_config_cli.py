@@ -382,6 +382,17 @@ def test_non_finite_data_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_duplicate_column_exits_3(tmp_path, capsys):
+    bad = tmp_path / "d.csv"
+    bad.write_text("age,age,sex,y\nx,31,F,good\n", encoding="utf-8")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=bad, out=tmp_path / "out"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file)]) == 3
+    assert "duplicate column 'age'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "shuffle-00").exists()
+
+
 def test_flag_overrides_beat_config(tmp_path):
     data = write_dataset(tmp_path)
     cfg_file = tmp_path / "exp.cfg"

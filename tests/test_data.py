@@ -85,6 +85,13 @@ def test_unknown_column_rejected(tmp_path, schema):
         load_csv(p, schema)
 
 
+def test_duplicate_column_rejected(tmp_path, schema):
+    # the first 'age' column holds a non-number that the second would hide
+    p = write(tmp_path, "age,age,sex,y\nx,31,F,good\n")
+    with pytest.raises(DataError, match="duplicate column 'age'"):
+        load_csv(p, schema)
+
+
 def test_save_load_round_trip(tmp_path, schema):
     p = write(tmp_path, "age,sex,y\n31.5,F,good\n45,M,bad\n")
     ds = load_csv(p, schema)

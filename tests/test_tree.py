@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fabboo import HoeffdingTree, TreeParams
 from fabboo.data import POSITIVE, NEGATIVE
@@ -32,10 +32,11 @@ def test_zero_weight_is_noop():
     tree = HoeffdingTree(NUM1)
     tree.train_weighted((1.0,), POSITIVE, 1.0)
     before = tree.describe()
-    stats_before = [list(s) for s in tree.root.num_stats]
+    # num_stats is [means+, M2+, means-, M2-], one list per class moment
+    stats_before = [list(col) for col in tree.root.num_stats]
     tree.train_weighted((2.5,), NEGATIVE, 0.0)
     assert tree.describe() == before
-    assert [list(s) for s in tree.root.num_stats] == stats_before
+    assert [list(col) for col in tree.root.num_stats] == stats_before
 
 
 def test_negative_weight_rejected():
@@ -82,6 +83,7 @@ def test_weight_linearity_on_fresh_tree():
     once.train_weighted(x, POSITIVE, 2.0)
     twice.train_weighted(x, POSITIVE, 1.0)
     twice.train_weighted(x, POSITIVE, 1.0)
+    # all four per-class lists: means and M2 of each class
     assert once.root.num_stats == twice.root.num_stats
     assert once.root.cat_stats == twice.root.cat_stats
     assert (once.root.wp, once.root.wn) == (twice.root.wp, twice.root.wn)
@@ -100,7 +102,8 @@ def test_weight_linearity_mid_stream():
     trees[0].train_weighted(*probe, 2.0)
     trees[1].train_weighted(*probe, 1.0)
     trees[1].train_weighted(*probe, 1.0)
-    a, b = trees[0].root.num_stats[0], trees[1].root.num_stats[0]
+    # attribute 0's column: [mean+, M2+, mean-, M2-]
+    a, b = ([col[0] for col in t.root.num_stats] for t in trees)
     assert a == pytest.approx(b, rel=1e-12)
     assert trees[0].root.wp == pytest.approx(trees[1].root.wp)
 
@@ -302,3 +305,102 @@ def test_checked_stream_crosses_splits_and_promotions():
     check_stream(tree, mixed_stream(7, 3000, 1500, 0.1))
     assert tree.root.split_attr is not None
     assert tree.replacements > 0
+
+
+# ------------------------------------------ leaf statistics and alternates
+
+SPREAD = ("num", "cat", "num")   # numeric attribute j sits at position 2j
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                          st.booleans(), st.floats(0.0, 10.0)),
+                max_size=300))
+def test_leaf_statistics_match_a_welford_fold(stream):
+    tree = HoeffdingTree(SPREAD, TreeParams(adaptive=False, grace_weight=1e9))
+    # per class: weight, means, M2
+    ref = {True: [0.0, [0.0, 0.0], [0.0, 0.0]],
+           False: [0.0, [0.0, 0.0], [0.0, 0.0]]}
+    for a, b, pos, w in stream:
+        x = (a, "c", b)
+        tree.train_weighted(x, POSITIVE if pos else NEGATIVE, w)
+        if w == 0.0:
+            continue
+        cls = ref[pos]
+        cls[0] += w
+        r = w / cls[0]
+        for j, xv in enumerate((a, b)):
+            mean = cls[1][j]
+            delta = xv - mean
+            mean = mean + r * delta
+            cls[1][j] = mean
+            cls[2][j] += w * delta * (xv - mean)
+    root = tree.root
+    assert root.split_attr is None
+    assert root.num_stats == [ref[True][1], ref[True][2],
+                              ref[False][1], ref[False][2]]
+    assert (root.wp, root.wn) == (ref[True][0], ref[False][0])
+    # weight conservation: the leaf holds every unit of trained weight
+    assert root.wp + root.wn == pytest.approx(
+        math.fsum(w for *_, w in stream), rel=1e-12, abs=0.0)
+
+
+def reference_resolution(p, main, alt):
+    """The full promote/discard rule, evaluated without an early exit;
+    `main` and `alt` are (err, warm, seen_w)."""
+    def corrected(err, warm):
+        denom = 1.0 - warm
+        return err / denom if denom > 1e-9 else 0.0
+
+    main_err, alt_err = corrected(*main[:2]), corrected(*alt[:2])
+    d = p.drift_decay
+    unit = (1.0 - d) / (1.0 + d)
+    var = (max(main_err * (1.0 - main_err), 0.0025)
+           + max(alt_err * (1.0 - alt_err), 0.0025)) * unit
+    needed = max(p.replace_margin, p.warn_sigmas * math.sqrt(var))
+    if main_err - alt_err >= needed:
+        return "promote"
+    if alt_err - main_err >= p.replace_margin or alt[2] >= p.alt_discard_weight:
+        return "discard"
+    return "keep"
+
+
+UNIT = st.floats(0.0, 1.0)
+NODE_STATE = st.tuples(UNIT, UNIT, st.one_of(st.floats(300.0, 8000.0),
+                                             st.just(5000.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(main=NODE_STATE, alt=NODE_STATE,
+       near=st.one_of(st.none(), st.floats(-0.03, 0.03)),
+       margin=st.sampled_from((0.01, 0.0, 0.25)),
+       decay=st.sampled_from((0.995, 0.95)))
+# dyadic errors whose gap lands on the margin itself, both ways round
+@example(main=(0.375, 0.5, 400.0), alt=(0.25, 0.5, 400.0), near=None,
+         margin=0.25, decay=0.995)
+@example(main=(0.25, 0.5, 400.0), alt=(0.375, 0.5, 400.0), near=None,
+         margin=0.25, decay=0.995)
+def test_resolve_alternate_matches_the_full_rule(main, alt, near, margin,
+                                                 decay):
+    if near is not None:
+        # an alternate as warm as the node, its error within `near`
+        alt = (min(max(main[0] + near, 0.0), 1.0), main[1], alt[2])
+    params = TreeParams(replace_margin=margin, drift_decay=decay)
+    tree = HoeffdingTree(NUM1, params)
+    nd, challenger = tree._new_leaf(), tree._new_leaf()
+    nd.err, nd.warm, nd.seen_w = main
+    challenger.err, challenger.warm, challenger.seen_w = alt
+    nd.err_min, nd.warn_at = 0.1, 0.2
+    nd.alt = challenger
+    promoted = tree._resolve_alternate(nd)
+    want = reference_resolution(params, main, alt)
+    got = ("promote" if promoted
+           else "keep" if nd.alt is challenger else "discard")
+    assert got == want
+    state = (nd.err, nd.warm, nd.seen_w, nd.err_min, nd.warn_at)
+    if promoted:
+        assert state == alt + (math.inf, math.inf)
+        assert nd.alt is None and tree.replacements == 1
+    else:
+        assert state == main + (0.1, 0.2)
+        assert tree.replacements == 0
