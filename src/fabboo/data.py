@@ -95,10 +95,11 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
     """Parse a comma-separated UTF-8 file (header row first) against `schema`
     into its instances, in file order.
 
-    Rows are checked strictly: every schema column must be present, and
-    once, tokens in numeric columns must parse as finite floats (no nan or
-    inf, and no literal that overflows to inf), categorical tokens must
-    belong to the declared alphabet, and missing (empty) values are rejected.
+    Rows are checked strictly: every schema column must be present, no
+    header name may repeat, tokens in numeric columns must parse as finite
+    floats (no nan or inf, and no literal that overflows to inf),
+    categorical tokens must belong to the declared alphabet, and missing
+    (empty) values are rejected.
     Row numbers in error messages count data rows from 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
