@@ -164,15 +164,20 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
 
 
 def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None:
-    """Write instances in the load_csv format (header + one row per instance)."""
-    neg = schema.negative_value()
+    """Write instances in the load_csv format (header + one row per instance).
+
+    csv writes a float as its repr, which load_csv reads back exactly. A
+    long export may be written by a second process (parallel.write_rows),
+    with the same bytes.
+    """
+    from . import parallel   # parallel imports boosting, which imports data
+    pos, neg = schema.positive_value, schema.negative_value()
+    rows = ((*inst.features, pos if inst.label == POSITIVE else neg)
+            for inst in instances)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in schema.attributes] + [schema.label_name])
-        for inst in instances:
-            row = [repr(v) if isinstance(v, float) else v for v in inst.features]
-            row.append(schema.positive_value if inst.label == POSITIVE else neg)
-            writer.writerow(row)
+        parallel.write_rows(fh, writer, rows)
 
 
 def shuffled(instances: list[Instance], seed: int) -> list[Instance]:

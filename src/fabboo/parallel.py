@@ -1,17 +1,20 @@
-"""When a run uses more than one process.
+"""When fabboo uses more than one process.
 
-Two parts of a run can use a second CPU, both through pipeline.py's
-forked helpers:
+Three paths can use a second CPU, all through pipeline.py's forked
+helpers:
 
 - the shuffles of a `fabboo run` (`cli._run_shuffles`): this process and
   min(shuffles, usable CPUs) - 1 helpers run a slice of them each;
 - the boosting chain of one run of a BoostedEnsemble (`arrivals` below):
-  a helper trains the first half of the learners ahead of the caller.
+  a helper trains the first half of the learners ahead of the caller;
+- an export (`write_rows` below, called by data.save_csv): this process
+  makes the rows and a helper formats and writes them.
 
-The pool starts only after MIN_ARRIVALS arrivals per shuffle and the
-pipeline after PIPELINE_MIN_ARRIVALS, which repays what starting them
-costs, and both only when `can_fork()` holds: `os.fork` exists and this
-process runs one thread, since a fork copies every lock but no thread.
+The pool starts only after MIN_ARRIVALS arrivals per shuffle, the
+pipeline after PIPELINE_MIN_ARRIVALS and the writer after EXPORT_MIN_ROWS
+rows, which repays what starting them costs, and each only when
+`can_fork()` holds: `os.fork` exists and this process runs one thread,
+since a fork copies every lock but no thread.
 `run_prequential` takes the number of CPUs a run may use, and the
 pipeline needs two: a run on its own gets every usable CPU, a pooled
 shuffle one, so pooled shuffles never pipeline.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import islice
 
 from .boosting import BoostedEnsemble
 from .tree import HoeffdingTree
@@ -33,6 +37,16 @@ MIN_ARRIVALS = 1000
 # of 1,200 arrivals ran 11% slower when it started at 1,000, and runs of
 # 2,400 as fast as serial when it starts here
 PIPELINE_MIN_ARRIVALS = 2000
+# an export hands its rows to a writer process only after this many.
+# Starting the writer costs some 20-40 ms (importing
+# multiprocessing.connection, the fork, the helper's last batch), and the
+# first 10-20k rows after it gain little, since the scheduler often runs
+# the helper on the caller's CPU at first. paper_synth exports (2 vCPUs,
+# medians of 16 alternating pairs in fresh processes) that forked at 1,000
+# rows ran at 0.67x serial speed at 2,400 rows, 0.8x at 5,000 and
+# 0.9-1.4x at 20,000; forked here, they ran at 0.92x at 10,001 rows,
+# 1.03x at 20,000 and 1.36x at 40,000
+EXPORT_MIN_ROWS = 10000
 
 
 def usable_cpus() -> int:
@@ -81,6 +95,24 @@ def arrivals(model, source, cpus: int | None = None):
             return
     for inst in stream:
         yield inst
+
+
+def write_rows(fh, writer, rows) -> None:
+    """writer.writerows(rows), where `writer` writes to the open file `fh`.
+
+    After EXPORT_MIN_ROWS rows, when two CPUs are usable and `can_fork()`
+    holds, a forked helper writes the rest while this process makes them
+    (pipeline.written), and the file gets the same bytes.
+    """
+    rows = iter(rows)
+    writer.writerows(islice(rows, EXPORT_MIN_ROWS))
+    if usable_cpus() < 2 or not can_fork():
+        writer.writerows(rows)
+        return
+    first = next(rows, None)
+    if first is not None:   # rows that end at the threshold fork nothing
+        from . import pipeline
+        pipeline.written(fh, writer, first, rows)
 
 
 def _pipelines(model) -> bool:

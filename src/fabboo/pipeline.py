@@ -1,6 +1,7 @@
 """Forked helper processes: `Helper(child)` forks a process that runs
 child(inbox, outbox) over two one-way pipes and exits. `pooled` runs a
-`fabboo run`'s shuffles on helpers, and `start` the boosting pipeline.
+`fabboo run`'s shuffles on helpers, `start` the boosting pipeline, and
+`written` hands the rest of an export to a helper that writes it.
 
 The pipeline: learner i's weight depends only on the label, ocis and the
 post-update margins of learners 1..i-1, never on the prediction, theta or
@@ -51,6 +52,10 @@ _BATCH = 16
 # a wait polls this long before it blocks: a blocked process wakes late
 # on a busy host, and a pipeline waits once per message
 _SPIN_S = 0.002
+# rows per message from an export to its writer: about 61 kB pickled on
+# paper_synth, so that a send fills at most one pipe buffer and blocks
+# while the writer is behind, which bounds what the rows hold in memory
+_ROWS = 1000
 
 _fork = os.fork
 
@@ -143,6 +148,13 @@ def _run_slice(task, indices, inbox, outbox) -> None:
 def start(model, first, stream):
     """Fork the helper; returns the generator that serves `first` and the
     rest of `stream` through it."""
+    # a learner's cost per arrival falls along the chain: after arrival
+    # 2,000 of paper_synth (fabboo/SP, N=20, serial, two runs) from 16-18 us
+    # for learner 1 to 10.5-11 us for learner 20, and likewise on
+    # drift_sudden with osboost. With k = 10 the helper's head costs
+    # 128-136 us per arrival, plus its channel and monitor work, and the
+    # caller's tail 108-114 us, plus the generation, ledger, window and
+    # metrics: near balance, which is why k = 11 and 12 ran slower
     k = -(-len(model.learners) // 2)
     return _pipelined(model, k, Helper(partial(_serve, model, k)), first,
                       stream)
@@ -197,6 +209,68 @@ def _pipelined(model, k, helper, first, stream):
         model.tail = model.learners
         model.head = NO_HEAD
         model.head_error = None
+
+
+def written(fh, writer, first, rows) -> None:
+    """Write `first` and then `rows`, which must pickle, with `writer` to
+    the open file `fh`: a forked helper formats and writes them while this
+    process pulls them, or, if no helper can be forked, this process.
+
+    The file ends as writerows would leave it, also on an error: a
+    helper's error (writing or formatting a row) is raised here, and a
+    source error after the helper has written every row before it.
+    """
+    fh.flush()   # else the helper writes the buffered rows a second time
+    try:
+        helper = Helper(partial(_write, fh, writer))
+    except OSError:   # no process to be had: write them here
+        writer.writerow(first)
+        writer.writerows(rows)
+        return
+    try:   # from here on, only the helper writes to fh
+        batch = [first]
+        failure = None
+        try:
+            for row in rows:
+                batch.append(row)
+                if len(batch) == _ROWS:
+                    helper.send(batch)
+                    batch = []
+                    if helper.inbox.poll(0):   # the helper failed
+                        break
+        except Exception as e:
+            failure = e
+        helper.send(batch)
+        helper.outbox.close()   # the end of the rows
+        error = helper.recv()   # the helper has flushed fh
+        if error is not None:
+            raise error
+        if failure is not None:
+            raise failure
+    finally:
+        helper.close()
+
+
+def _write(fh, writer, inbox, outbox) -> None:
+    """The export helper's loop: write each batch of rows as it comes; at
+    the end of the rows, or on an error, flush `fh` and send the error or
+    None."""
+    error = None
+    try:
+        while True:
+            try:
+                batch = inbox.recv()
+            except EOFError:
+                break
+            writer.writerows(batch)
+    except Exception as e:
+        error = e
+        inbox.close()   # the caller's sends fail rather than block
+    try:
+        fh.flush()   # os._exit drops what a buffer holds
+    except Exception as e:   # as the serial path's close raises it
+        error = e
+    outbox.send(None if error is None else _portable(error))
 
 
 def _recv(conn):

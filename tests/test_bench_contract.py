@@ -1,4 +1,5 @@
-"""The fabboo names that the benchmark in bench/ reaches from outside.
+"""The fabboo names that the benchmark in bench/ reaches from outside,
+and the export the benchmark checks against its recorded digest.
 
 `bench/spans.py` wraps library functions by (owner, attribute) for
 `bench/run.py --trace 1`, and the workloads call the package's public
@@ -6,15 +7,19 @@ names. A rename in the library would break the benchmark without failing
 any other test.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import fabboo
-from fabboo import cli, prequential
+from fabboo import cli, parallel, pipeline, prequential
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 # what bench/workloads.py calls besides the span targets
 WORKLOAD_NAMES = [
@@ -45,3 +50,20 @@ def test_span_targets_and_workload_names_exist():
     spans.span_codes(mods)   # every target is a Python function
     for owner, attr in WORKLOAD_NAMES:
         assert hasattr(owner, attr), attr
+
+
+def test_forked_export_matches_the_benchmark_golden_digest(tmp_path,
+                                                          monkeypatch):
+    """The full paper_synth stream, exported with its rows written by a
+    helper process, has the digest that bench/run.py's export_synth
+    workload is held to; a lost tail or a reordered batch changes it."""
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    fork = mock.Mock(wraps=pipeline._fork)
+    monkeypatch.setattr(pipeline, "_fork", fork)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    out = tmp_path / "paper_synth.csv"
+    assert cli.main(["export", "--preset", "paper_synth", "--seed",
+                     str(golden["seed"]), "--out", str(out)]) == 0
+    assert fork.call_count == 1
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == golden["sha256"]["export_synth"]

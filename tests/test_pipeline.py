@@ -4,7 +4,9 @@ A pipelined run must equal the serial run of the same model bit for bit:
 the trace, the summary (wall_s aside), theta and every learner's state.
 Errors must surface as the serial loop raises them, with the same partial
 trace, and a helper that dies must raise in the caller. Pooled shuffles
-use the same helpers, and no run may leave a process or descriptor behind.
+and long exports use the same helpers; an export written by a helper must
+equal the serial file byte for byte, also when it fails, and no run may
+leave a process or descriptor behind.
 """
 
 import errno
@@ -15,6 +17,7 @@ import sys
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from fabboo import (BoostedEnsemble, DataError, EvalConfig, Notion,
                     PRESET_NAMES, generate, method_params, preset,
-                    run_prequential, with_overrides, write_trace)
+                    run_prequential, save_csv, with_overrides, write_trace)
 from fabboo import cli, parallel, pipeline
 from fabboo.tree import HoeffdingTree, _Node
 
@@ -33,9 +36,8 @@ PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
 
 
 @contextmanager
-def switch_at(arrivals):
-    """Pipeline after `arrivals` arrivals; yields the pids of the helpers
-    forked meanwhile."""
+def forks():
+    """Yields the pids of the helpers forked in the block."""
     forked = []
     fork = pipeline._fork
 
@@ -45,8 +47,16 @@ def switch_at(arrivals):
             forked.append(pid)
         return pid
 
+    with mock.patch.object(pipeline, "_fork", counting_fork):
+        yield forked
+
+
+@contextmanager
+def switch_at(arrivals):
+    """Pipeline after `arrivals` arrivals; yields the pids of the helpers
+    forked meanwhile."""
     with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", arrivals), \
-            mock.patch.object(pipeline, "_fork", counting_fork):
+            forks() as forked:
         yield forked
 
 
@@ -327,6 +337,159 @@ def test_the_pipeline_needs_two_cpus_two_trees_and_a_fork():
             run(model, generate(gen), None, cpus)
         with mock.patch.object(parallel, "can_fork", lambda: False):
             run(build("osboost", None, 2, gen), generate(gen), None, 2)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2 * pipeline._ROWS + 37])
+def test_export_writes_the_serial_bytes(tmp_path, extra):
+    length = parallel.EXPORT_MIN_ROWS + extra
+    fds = open_fds()
+    written = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}.csv"
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus), \
+                forks() as forked:
+            assert cli.main(["export", "--preset", "paper_synth",
+                             "--length", str(length), "--seed", "6",
+                             "--out", str(out)]) == 0
+        assert len(forked) == (1 if cpus == 2 and extra else 0)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == length + 1
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+class Unprintable:
+    """A feature that fails when csv formats it."""
+
+    text = "this feature has no text"
+
+    def __str__(self):
+        raise ValueError(self.text)
+
+
+class VerboseUnprintable(Unprintable):
+    text = "no text " * 25_000   # more than a pipe's buffer holds
+
+
+def unprintable(inst, feature=Unprintable):
+    return inst._replace(features=(feature(),) + inst.features[1:])
+
+
+def stream_with_faults(gen, faults):
+    """The generated stream, with each arrival in `faults` passed through
+    its fault."""
+    for inst in generate(gen):
+        fault = faults.get(inst.seq)
+        yield fault(inst) if fault else inst
+
+
+@pytest.mark.parametrize("faults, forks_on_two", [
+    ({0: source_breaks}, 0),     # on the threshold's row
+    ({1: source_breaks}, 0),     # pulling the first row for the helper
+    ({2 * pipeline._ROWS + 5: source_breaks}, 1),
+    ({0: unprintable}, 0),
+    ({1: unprintable}, 1),       # the helper's first row
+    ({2 * pipeline._ROWS + 5: unprintable}, 1),
+    ({5: unprintable, 10: source_breaks}, 1),   # the helper's comes first
+])
+def test_export_errors_match_the_serial_path(tmp_path, faults, forks_on_two):
+    faults = {parallel.EXPORT_MIN_ROWS + offset: fault
+              for offset, fault in faults.items()}
+    at = min(faults)
+    gen = with_overrides(preset("paper_synth"), length=at + 3 * pipeline._ROWS,
+                         seed=7)
+    fds = open_fds()
+    outcomes = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}.csv"
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus), \
+                forks() as forked, pytest.raises(ValueError) as info:
+            save_csv(out, gen.schema(), stream_with_faults(gen, faults))
+        assert len(forked) == (forks_on_two if cpus == 2 else 0)
+        outcomes.append((type(info.value), str(info.value), out.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2].count(b"\n") == at   # the header and at - 1 rows
+    if faults[at] is unprintable and forks_on_two \
+            and sys.version_info >= (3, 11):
+        assert "raised in a helper process" in "".join(info.value.__notes__)
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+@pytest.mark.parametrize("feature", [Unprintable, VerboseUnprintable])
+def test_a_failed_writer_stops_the_export(tmp_path, feature):
+    """Once its helper has failed, an export pulls a few more batches at
+    most; an error longer than a pipe's buffer reaches it too."""
+    at = parallel.EXPORT_MIN_ROWS + 1
+    gen = with_overrides(preset("paper_synth"),
+                         length=at + 40 * pipeline._ROWS, seed=8)
+    pulled = []
+
+    def counted(stream):
+        for inst in stream:
+            pulled.append(inst.seq)
+            yield inst
+
+    fault = partial(unprintable, feature=feature)
+    with alarm(60, "the export hangs on a failed helper"), \
+            mock.patch.object(parallel, "usable_cpus", lambda: 2), \
+            forks() as forked, pytest.raises(ValueError) as info:
+        save_csv(tmp_path / "out.csv", gen.schema(),
+                 counted(stream_with_faults(gen, {at: fault})))
+    assert str(info.value) == feature.text
+    assert len(forked) == 1
+    assert len(pulled) < at + 20 * pipeline._ROWS
+    assert no_children_left()
+
+
+def test_a_killed_writer_raises_in_the_caller(tmp_path):
+    at = parallel.EXPORT_MIN_ROWS + 3 * pipeline._ROWS
+    gen = with_overrides(preset("paper_synth"), length=at + 5 * pipeline._ROWS,
+                         seed=9)
+    fds = open_fds()
+
+    def kill_helper(inst):
+        os.kill(forked[0], signal.SIGKILL)
+        return inst
+
+    with alarm(60, "the export hangs on a dead helper"), \
+            mock.patch.object(parallel, "usable_cpus", lambda: 2), \
+            forks() as forked, \
+            pytest.raises(RuntimeError, match="helper process exited"):
+        save_csv(tmp_path / "out.csv", gen.schema(),
+                 stream_with_faults(gen, {at: kill_helper}))
+    assert len(forked) == 1
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+def test_an_export_whose_fork_fails_writes_the_rest_itself(tmp_path):
+    gen = with_overrides(preset("paper_synth"),
+                         length=parallel.EXPORT_MIN_ROWS + 500, seed=10)
+    written = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}.csv"
+        failing = mock.Mock(side_effect=OSError("no process to be had"))
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus), \
+                mock.patch.object(pipeline, "_fork", failing):
+            save_csv(out, gen.schema(), generate(gen))
+        assert failing.call_count == cpus - 1
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == gen.length + 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_export_to_a_full_disk_exits_1_on_both_paths(capsys):
+    for cpus in (1, 2):
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+            assert cli.main(["export", "--preset", "paper_synth", "--length",
+                             str(parallel.EXPORT_MIN_ROWS + 500),
+                             "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err == \
+            "error: [Errno 28] No space left on device\n"
+    assert no_children_left()
 
 
 def killed(i):
