@@ -31,6 +31,7 @@ pipeline.py).
 
 from __future__ import annotations
 
+import math
 from bisect import insort, bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -67,10 +68,10 @@ class EnsembleParams:
             raise ValueError("lambda must be in [0, 1)")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-        if self.smoothing < 0.0:
-            raise ValueError("smoothing must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if not 0.0 <= self.smoothing < math.inf:
+            raise ValueError("smoothing must be finite and >= 0")
 
 
 class BoundaryWindow:

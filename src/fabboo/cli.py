@@ -157,30 +157,6 @@ def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int,
     return summary
 
 
-def _run_shuffles(shuffle, shuffles: int, arrivals: int) -> list[Summary]:
-    """shuffle(i, cpus) for every i, in shuffle order, where cpus is the
-    number of CPUs each shuffle may use.
-
-    With two or more usable CPUs, at least parallel.MIN_ARRIVALS arrivals
-    per shuffle and `parallel.can_fork()`, the shuffles are pooled on up to
-    that many processes (`pipeline.pooled`; when a fork fails, this
-    process runs the shuffles no helper took). The forked helpers inherit
-    `shuffle` and its data, so no dataset is pickled and only summaries
-    and errors cross between processes. The first failed shuffle's error
-    is raised here and stops the other helpers at once, so their shuffles'
-    outputs may be partial. Pooled shuffles get one CPU each, so none
-    pipelines. Otherwise the shuffles run one by one, each on every usable
-    CPU.
-    """
-    usable = parallel.usable_cpus()
-    workers = min(shuffles, usable)
-    if (workers > 1 and arrivals >= parallel.MIN_ARRIVALS
-            and parallel.can_fork()):
-        from . import pipeline
-        return pipeline.pooled(lambda i: shuffle(i, 1), shuffles, workers)
-    return [shuffle(i, usable) for i in range(shuffles)]
-
-
 def execute_run(cfg: ExperimentConfig) -> list[Summary]:
     """Run every shuffle, writing one trace + summary per shuffle and the
     aggregate summary; returns the per-shuffle summaries."""
@@ -188,7 +164,7 @@ def execute_run(cfg: ExperimentConfig) -> list[Summary]:
     out_root = Path(cfg.out_dir)
     kinds, arrivals, source = build_sources(cfg)
     shuffle = partial(_run_shuffle, cfg, kinds, source)
-    summaries = _run_shuffles(shuffle, cfg.shuffles, arrivals)
+    summaries = parallel.each(shuffle, cfg.shuffles, arrivals)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "aggregate.txt").write_text(aggregate_text(summaries),
                                             encoding="utf-8")

@@ -99,11 +99,12 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
     header name may repeat, tokens in numeric columns must parse as finite
     floats (no nan or inf, and no literal that overflows to inf),
     categorical tokens must belong to the declared alphabet, and missing
-    (empty) values are rejected.
-    Row numbers in error messages count data rows from 1.
+    (empty) values are rejected, and so are bytes that are not UTF-8 and
+    lines that csv cannot parse. Row numbers in error messages count data
+    rows from 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(path, csv.reader(fh))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -161,6 +162,18 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
             group = feats[prot_idx] == schema.protected_value
             instances.append(Instance(tuple(feats), group, label, rownum))
     return instances
+
+
+def _rows(path, reader):
+    """The rows of the csv `reader` of file `path`; a decoding or csv error
+    is raised as a DataError that names the reader's line."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: byte {e.object[e.start:e.end].hex()} after "
+                        f"line {reader.line_num} is not UTF-8") from None
+    except csv.Error as e:
+        raise DataError(f"{path}: {e} at line {reader.line_num}") from None
 
 
 def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None:

@@ -28,6 +28,7 @@ the metrics reflect only the current chunk (short-term monitoring).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .data import POSITIVE
@@ -59,8 +60,8 @@ class FairnessLedger:
     __slots__ = ("smoothing", "chunk_size", "_in_chunk", "z", "o")
 
     def __init__(self, smoothing: float = 1.0, chunk_size: int | None = None):
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        if not 0.0 <= smoothing < math.inf:
+            raise ValueError("smoothing must be finite and >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.smoothing = smoothing

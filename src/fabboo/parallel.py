@@ -3,7 +3,7 @@
 Three paths can use a second CPU, all through pipeline.py's forked
 helpers:
 
-- the shuffles of a `fabboo run` (`cli._run_shuffles`): this process and
+- the shuffles of a `fabboo run` (`each` below): this process and
   min(shuffles, usable CPUs) - 1 helpers run a slice of them each;
 - the boosting chain of one run of a BoostedEnsemble (`arrivals` below):
   a helper trains the first half of the learners ahead of the caller;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
-from itertools import islice
+from itertools import chain, islice
 
 from .boosting import BoostedEnsemble
 from .tree import HoeffdingTree
@@ -60,41 +60,43 @@ def can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
+def each(task, n: int, arrivals: int) -> list:
+    """[task(i, cpus) for i in range(n)], where task i runs a shuffle of
+    `arrivals` arrivals on up to `cpus` CPUs.
+
+    Pooled tasks (`pipeline.pooled`) get one CPU each. Their helpers
+    inherit `task` and its data, so only results and errors cross between
+    processes. The first failed task's error is raised here and stops the
+    other helpers at once, so their tasks' outputs may be partial.
+    Otherwise the tasks run one by one, each on every usable CPU.
+    """
+    usable = usable_cpus()
+    workers = min(n, usable)
+    if workers > 1 and arrivals >= MIN_ARRIVALS and can_fork():
+        from . import pipeline
+        return pipeline.pooled(lambda i: task(i, 1), n, workers)
+    return [task(i, usable) for i in range(n)]
+
+
 def arrivals(model, source, cpus: int | None = None):
     """The instances of `source`, for run_prequential to serve in order.
 
     After PIPELINE_MIN_ARRIVALS of them, when the number of CPUs the run
     may use (`cpus`, every usable one when None) is at least two, `model`
     is a BoostedEnsemble of two or more HoeffdingTrees and `can_fork()`
-    holds, the rest are served through the pipeline. Closing this generator stops the
-    pipeline's helper; it never closes `source`.
+    holds, the rest are served through the pipeline. Closing this
+    generator stops the pipeline's helper; it never closes `source`.
     """
     stream = iter(source)
-    served = 0
-    for inst in stream:
-        yield inst
-        served += 1
-        if served == PIPELINE_MIN_ARRIVALS:
-            break
-    else:
-        return
-    if cpus is None:
-        cpus = usable_cpus()
-    if cpus >= 2 and _pipelines(model) and can_fork():
-        try:
-            first = next(stream)
-        except StopIteration:
-            return
+    yield from islice(stream, PIPELINE_MIN_ARRIVALS)
+    rest = _rest(stream, cpus) if _pipelines(model) else None
+    if rest is not None:
         from . import pipeline
         try:
-            piped = pipeline.start(model, first, stream)
+            stream = pipeline.start(model, rest)
         except OSError:   # no process to be had: the run stays serial
-            yield first
-        else:
-            yield from piped
-            return
-    for inst in stream:
-        yield inst
+            stream = rest
+    yield from stream
 
 
 def write_rows(fh, writer, rows) -> None:
@@ -106,13 +108,25 @@ def write_rows(fh, writer, rows) -> None:
     """
     rows = iter(rows)
     writer.writerows(islice(rows, EXPORT_MIN_ROWS))
-    if usable_cpus() < 2 or not can_fork():
+    rest = _rest(rows)
+    if rest is None:
         writer.writerows(rows)
-        return
-    first = next(rows, None)
-    if first is not None:   # rows that end at the threshold fork nothing
+    else:
         from . import pipeline
-        pipeline.written(fh, writer, first, rows)
+        pipeline.written(fh, writer, rest)
+
+
+def _rest(stream, cpus: int | None = None):
+    """The rest of `stream` for a helper to take over, or None where no
+    helper is to be forked: the run may use fewer than two CPUs (`cpus`,
+    every usable one when None), `can_fork()` fails, or `stream` ends
+    here. The item pulled to see that it does not end is put back in
+    front, so a stream that ends at a threshold forks nothing."""
+    if (usable_cpus() if cpus is None else cpus) < 2 or not can_fork():
+        return None
+    for first in stream:
+        return chain((first,), stream)
+    return None
 
 
 def _pipelines(model) -> bool:

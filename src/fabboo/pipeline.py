@@ -24,9 +24,9 @@ arrival it stands for is due. A model whose run failed is not to be
 reused: its head learners are as the fork left them.
 
 An error crosses from a helper pickled, with the helper's traceback as a
-note (Python 3.11+); an error that does not pickle is raised as its
-nearest builtin class (see `_portable`). A helper that dies raises
-RuntimeError.
+note (Python 3.11+); an error that does not survive pickling is raised
+as a RuntimeError that names its class and message, with the same note
+(see `_portable`). A helper that dies raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def _run_slice(task, indices, inbox, outbox) -> None:
     outbox.send(message)
 
 
-def start(model, first, stream):
-    """Fork the helper; returns the generator that serves `first` and the
-    rest of `stream` through it."""
+def start(model, stream):
+    """Fork the helper; returns the generator that serves the iterator
+    `stream` through it."""
     # a learner's cost per arrival falls along the chain: after arrival
     # 2,000 of paper_synth (fabboo/SP, N=20, serial, two runs) from 16-18 us
     # for learner 1 to 10.5-11 us for learner 20, and likewise on
@@ -156,11 +156,10 @@ def start(model, first, stream):
     # caller's tail 108-114 us, plus the generation, ledger, window and
     # metrics: near balance, which is why k = 11 and 12 ran slower
     k = -(-len(model.learners) // 2)
-    return _pipelined(model, k, Helper(partial(_serve, model, k)), first,
-                      stream)
+    return _pipelined(model, k, Helper(partial(_serve, model, k)), stream)
 
 
-def _pipelined(model, k, helper, first, stream):
+def _pipelined(model, k, helper, stream):
     pending = deque()      # pulled ahead, in arrival order
     outbox = []            # (features, label) pulled but not yet sent
     heads = deque()        # the helper's results, in arrival order
@@ -169,9 +168,7 @@ def _pipelined(model, k, helper, first, stream):
     failure = None         # the source's error, raised when it is due
     try:
         model.tail = model.learners[k:]
-        pending.append(first)
-        outbox.append((first.features, first.label))
-        while pending:
+        while True:
             while not ended and len(pending) < LOOKAHEAD:
                 try:
                     inst = next(stream)
@@ -187,6 +184,8 @@ def _pipelined(model, k, helper, first, stream):
                     outbox = []
                     if ended:   # the helper sees the end of the stream
                         helper.outbox.close()
+            if not pending:
+                break
             while not heads and final is None:
                 batch, final = helper.recv()
                 heads.extend(batch)
@@ -211,9 +210,9 @@ def _pipelined(model, k, helper, first, stream):
         model.head_error = None
 
 
-def written(fh, writer, first, rows) -> None:
-    """Write `first` and then `rows`, which must pickle, with `writer` to
-    the open file `fh`: a forked helper formats and writes them while this
+def written(fh, writer, rows) -> None:
+    """Write the iterator `rows`, which must pickle, with `writer` to the
+    open file `fh`: a forked helper formats and writes them while this
     process pulls them, or, if no helper can be forked, this process.
 
     The file ends as writerows would leave it, also on an error: a
@@ -224,11 +223,10 @@ def written(fh, writer, first, rows) -> None:
     try:
         helper = Helper(partial(_write, fh, writer))
     except OSError:   # no process to be had: write them here
-        writer.writerow(first)
         writer.writerows(rows)
         return
     try:   # from here on, only the helper writes to fh
-        batch = [first]
+        batch = []
         failure = None
         try:
             for row in rows:
@@ -313,60 +311,14 @@ def _serve(model, k: int, inbox, outbox) -> None:
 
 
 def _portable(error: Exception) -> Exception:
-    """`error`, with the helper's traceback as a note, in a form that the
-    caller can unpickle.
-
-    Pickling an error calls its class with its args on the other side,
-    which fails for a class whose __init__ takes other arguments; such an
-    error is sent as its class, args and attributes and put together
-    without __init__. An error whose args or attributes do not pickle is
-    sent as an instance of its nearest builtin class, with its message
-    (prefixed by its class name when the class differs).
-    """
+    """`error` if it survives pickling, else a RuntimeError that names its
+    class and message; either with the helper's traceback as a note."""
     note = ("raised in a helper process:\n"
             + "".join(traceback.format_exception(error)))
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        error = RuntimeError(f"{type(error).__qualname__}: {error}")
     if hasattr(error, "add_note"):   # Python 3.11+
         error.add_note(note)
-    for candidate in (error, _Rebuilt(error)):
-        if _round_trips(candidate):
-            return candidate
-    name = type(error).__qualname__
-    for cls in type(error).__mro__:
-        if cls.__module__ != "builtins":
-            continue
-        try:
-            stand_in = cls(str(error) if cls is type(error)
-                           else f"{name}: {error}")
-        except Exception:
-            continue
-        if hasattr(stand_in, "add_note"):
-            stand_in.add_note(note)
-        if _round_trips(stand_in):
-            return stand_in
-    return Exception(f"{name} in a helper process")
-
-
-def _round_trips(obj) -> bool:
-    try:
-        pickle.loads(pickle.dumps(obj))
-    except Exception:
-        return False
-    return True
-
-
-class _Rebuilt:
-    """Pickles an error as its class, args and attributes."""
-
-    def __init__(self, error: Exception):
-        self.error = error
-
-    def __reduce__(self):
-        e = self.error
-        return _rebuild, (type(e), e.args, vars(e))
-
-
-def _rebuild(cls, args, attrs):
-    error = cls.__new__(cls)
-    error.args = args
-    error.__dict__.update(attrs)
     return error

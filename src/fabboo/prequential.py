@@ -96,8 +96,9 @@ def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
     Returns (trace, summary). Pass `trace` to keep the partial trace when a
     model or source error aborts the run (the exception propagates).
     `cpus` is the number of CPUs the run may use (default: every usable
-    one); with two or more, a long run of a BoostedEnsemble may pipeline its boosting
-    chain across two processes (see parallel.py), with the same results.
+    one); with two or more, a long run of a BoostedEnsemble may pipeline
+    its boosting chain across two processes (see parallel.py), with the
+    same results.
     """
     if trace is None:
         trace = []

@@ -326,6 +326,10 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--fairness", "none"], "fairness"),
     (["--dataset", "absent.csv", "--learners", "0"], "learners"),
     (["--length", "10"], "length"),
+    (["--epsilon", "nan"], "epsilon"),
+    (["--epsilon", "inf"], "epsilon"),
+    (["--smoothing", "nan"], "smoothing"),
+    (["--smoothing", "inf"], "smoothing"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)
@@ -368,6 +372,23 @@ def test_malformed_data_exits_3(tmp_path):
     cfg_file.write_text(CSV_CONFIG.format(path=bad, out=tmp_path / "out"),
                         encoding="utf-8")
     assert main(["run", "--config", str(cfg_file)]) == 3
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"age,sex,y\n31,F,good\n3\xe9,M,bad\n",
+     "byte e9 after line 0 is not UTF-8"),
+    (b"age,sex,y\n31,F,good\n" + b"4" * 200_000 + b",M,bad\n",
+     "field larger than field limit (131072) at line 3"),
+], ids=["latin1_byte", "huge_field"])
+def test_unreadable_data_exits_3(tmp_path, capsys, data, message):
+    bad = tmp_path / "d.csv"
+    bad.write_bytes(data)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=bad, out=tmp_path / "out"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file)]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_data_exits_3(tmp_path, capsys):

@@ -28,6 +28,7 @@ from fabboo import (BoostedEnsemble, DataError, EvalConfig, Notion,
                     PRESET_NAMES, generate, method_params, preset,
                     run_prequential, save_csv, with_overrides, write_trace)
 from fabboo import cli, parallel, pipeline
+from fabboo.config import ExperimentConfig
 from fabboo.tree import HoeffdingTree, _Node
 
 PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
@@ -235,37 +236,101 @@ class HoldsALock(ArithmeticError):
         self.lock = threading.Lock()
 
 
-@pytest.mark.parametrize("make_error, piped_type, piped_message", [
-    (lambda: NeedsTwoArguments(0, "on purpose"), NeedsTwoArguments,
-     "learner 0 failed: on purpose"),
-    (lambda: HoldsALock("on purpose"), ArithmeticError,
-     "HoldsALock: on purpose"),
-], ids=["init_arguments", "unpicklable_attribute"])
-def test_errors_that_do_not_pickle(make_error, piped_type, piped_message):
-    """An error whose class takes other arguments than its args keeps its
-    type and message; one that does not pickle at all is raised as its
-    nearest builtin class, its message prefixed by its class name."""
+def run_fails(tmp_path, cpus, error):
+    """A 4-learner run whose first learner raises `error` training on
+    arrival 600, pipelined after arrival 300 on two CPUs: (the error
+    raised, the partial trace)."""
     gen = with_overrides(preset("paper_synth"), length=800, seed=6)
     features = list(generate(gen))[599].features
+    model = build("fabboo", Notion.SP, 4, gen)
+    sink = []
+    with switch_at(300) as forked, \
+            learners_fail(model, [(0, "train_weighted", error)], features), \
+            pytest.raises(Exception) as info:
+        run(model, generate(gen), Notion.SP, cpus, trace=sink)
+    assert len(forked) == cpus - 1
+    return info.value, sink
+
+
+def shuffle_fails(tmp_path, cpus, error):
+    """Two shuffles of a `fabboo run`, pooled on two CPUs, where shuffle 1
+    (the helper's) raises `error`: (the error raised, shuffle 0's
+    trace)."""
+    run_shuffle = cli._run_shuffle
+
+    def faulty(cfg, kinds, source, i, cpus):
+        if i == 1:
+            raise error
+        return run_shuffle(cfg, kinds, source, i, cpus)
+
+    out = tmp_path / f"run-{cpus}"
+    args = cli.build_parser().parse_args([
+        "run", "--preset", "ratio_fixed", "--length",
+        str(parallel.MIN_ARRIVALS), "--learners", "2", "--shuffles", "2",
+        "--out", str(out)])
+    with mock.patch.object(cli, "_run_shuffle", faulty), \
+            mock.patch.object(parallel, "usable_cpus", lambda: cpus), \
+            forks() as forked, pytest.raises(Exception) as info:
+        cli.execute_run(cli.apply_flags(ExperimentConfig(), args))
+    assert len(forked) == cpus - 1
+    return info.value, (out / "shuffle-00" / "trace.csv").read_bytes()
+
+
+def export_fails(tmp_path, cpus, error):
+    """An export whose row after the threshold (the helper's first) has a
+    feature whose text raises `error`: (the error raised, the partial
+    file)."""
+    at = parallel.EXPORT_MIN_ROWS + 1
+    gen = with_overrides(preset("paper_synth"), length=at + pipeline._ROWS,
+                         seed=7)
+    out = tmp_path / f"export-{cpus}.csv"
+    with mock.patch.object(parallel, "usable_cpus", lambda: cpus), \
+            mock.patch.object(RaisesTheClassError, "error", error), \
+            forks() as forked, pytest.raises(Exception) as info:
+        save_csv(out, gen.schema(), stream_with_faults(
+            gen, {at: partial(unprintable, feature=RaisesTheClassError)}))
+    assert len(forked) == cpus - 1
+    return info.value, out.read_bytes()
+
+
+@pytest.mark.parametrize("make_error, piped_message", [
+    (lambda: NeedsTwoArguments(0, "on purpose"),
+     "NeedsTwoArguments: learner 0 failed: on purpose"),
+    (lambda: HoldsALock("on purpose"), "HoldsALock: on purpose"),
+], ids=["init_arguments", "unpicklable_attribute"])
+def test_errors_that_do_not_pickle(tmp_path, make_error, piped_message):
+    """On each helper path (the pipeline, a pooled shuffle, an export
+    writer), an error that does not survive pickling is raised as a
+    RuntimeError that names its class and message, with the helper's
+    traceback as a note; the serial path raises the error itself."""
+    fds = open_fds()
+    for path in (run_fails, shuffle_fails, export_fails):
+        error = make_error()
+        serial, serial_output = path(tmp_path, 1, error)
+        piped, piped_output = path(tmp_path, 2, make_error())
+        assert serial is error
+        assert not hasattr(serial, "__notes__")
+        assert (type(piped), str(piped)) == (RuntimeError, piped_message)
+        assert piped_output == serial_output
+        if sys.version_info >= (3, 11):
+            notes = "".join(piped.__notes__)
+            assert notes.startswith("raised in a helper process")
+            assert str(error) in notes
+    assert open_fds() == fds
+    assert no_children_left()
+
+
+def test_a_write_error_after_the_fork_reaches_the_caller(tmp_path):
+    """An OSError that the export's helper meets is raised here as on the
+    serial path: only the fork's own OSError makes the export fall back
+    to writing the rows itself."""
     outcomes = []
     for cpus in (1, 2):
-        model = build("fabboo", Notion.SP, 4, gen)
-        error = make_error()
-        sink = []
-        with switch_at(300) as forked, \
-                learners_fail(model, [(0, "train_weighted", error)], features), \
-                pytest.raises(ArithmeticError) as info:
-            run(model, generate(gen), Notion.SP, cpus, trace=sink)
-        assert len(forked) == cpus - 1
-        outcomes.append((type(info.value), str(info.value), sink))
-    serial, piped = outcomes
-    assert serial[:2] == (type(error), str(error))
-    assert piped[:2] == (piped_type, piped_message)
-    assert piped[2] == serial[2]
-    if sys.version_info >= (3, 11):
-        notes = "".join(info.value.__notes__)
-        assert "raised in a helper process" in notes
-        assert "in failing" in notes
+        error, output = export_fails(
+            tmp_path, cpus, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        outcomes.append((type(error), str(error), output))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is OSError
 
 
 @contextmanager
@@ -309,6 +374,29 @@ def test_the_pipeline_starts_after_its_threshold(extra, forks):
     with switch_at(parallel.PIPELINE_MIN_ARRIVALS) as forked:
         run(build("osboost", None, 2, gen), generate(gen), None, cpus=2)
     assert len(forked) == forks
+
+
+def test_a_run_whose_fork_fails_stays_serial():
+    """The pipeline's fork fails at its start: this process serves the
+    rest of the run itself, with the outputs and model of a serial run."""
+    gen = with_overrides(preset("paper_synth"), length=1_000, seed=11)
+    fds = open_fds()
+    outcomes = []
+    for cpus in (1, 2):
+        model = build("fabboo", Notion.SP, 4, gen)
+        failing = mock.Mock(side_effect=OSError(errno.EAGAIN,
+                                                os.strerror(errno.EAGAIN)))
+        with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 300), \
+                mock.patch.object(pipeline, "_fork", failing):
+            rows, summary = run(model, generate(gen), Notion.SP, cpus)
+        assert failing.call_count == cpus - 1
+        assert model.tail is model.learners
+        outcomes.append((trace_bytes(rows), summary, model.theta,
+                         [(l.describe(), l.replacements, state(l.root))
+                          for l in model.learners]))
+    assert outcomes[0] == outcomes[1]
+    assert open_fds() == fds
+    assert no_children_left()
 
 
 def test_the_pipeline_needs_two_cpus_two_trees_and_a_fork():
@@ -374,6 +462,16 @@ class VerboseUnprintable(Unprintable):
 
 def unprintable(inst, feature=Unprintable):
     return inst._replace(features=(feature(),) + inst.features[1:])
+
+
+class RaisesTheClassError(Unprintable):
+    """A feature whose text raises the error set on its class, which
+    crosses to a helper with the class, not with the pickled feature."""
+
+    error = None
+
+    def __str__(self):
+        raise RaisesTheClassError.error
 
 
 def stream_with_faults(gen, faults):
