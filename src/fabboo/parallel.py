@@ -93,10 +93,14 @@ def arrivals(model, source, cpus: int | None = None):
     if rest is not None:
         from . import pipeline
         try:
-            stream = pipeline.start(model, rest)
+            piped = pipeline.start(model, rest)
         except OSError:   # no process to be had: the run stays serial
             stream = rest
-    yield from stream
+        else:
+            yield from piped
+            return
+    for inst in stream:   # `yield from` would close `source` with this
+        yield inst
 
 
 def write_rows(fh, writer, rows) -> None:

@@ -302,9 +302,12 @@ def test_errors_that_do_not_pickle(tmp_path, make_error, piped_message):
     """On each helper path (the pipeline, a pooled shuffle, an export
     writer), an error that does not survive pickling is raised as a
     RuntimeError that names its class and message, with the helper's
-    traceback as a note; the serial path raises the error itself."""
+    traceback (naming the frame that raised) as a note; the serial path
+    raises the error itself."""
     fds = open_fds()
-    for path in (run_fails, shuffle_fails, export_fails):
+    for path, frame in ((run_fails, "in failing"),
+                        (shuffle_fails, "in faulty"),
+                        (export_fails, "in __str__")):
         error = make_error()
         serial, serial_output = path(tmp_path, 1, error)
         piped, piped_output = path(tmp_path, 2, make_error())
@@ -315,6 +318,7 @@ def test_errors_that_do_not_pickle(tmp_path, make_error, piped_message):
         if sys.version_info >= (3, 11):
             notes = "".join(piped.__notes__)
             assert notes.startswith("raised in a helper process")
+            assert frame in notes   # the helper's frames, not just its message
             assert str(error) in notes
     assert open_fds() == fds
     assert no_children_left()
@@ -374,6 +378,22 @@ def test_the_pipeline_starts_after_its_threshold(extra, forks):
     with switch_at(parallel.PIPELINE_MIN_ARRIVALS) as forked:
         run(build("osboost", None, 2, gen), generate(gen), None, cpus=2)
     assert len(forked) == forks
+
+
+@pytest.mark.parametrize("fails_at", [200, 600])
+def test_a_failed_serial_run_leaves_its_source_open(fails_at):
+    """A model error before or after the pipeline's threshold, on one CPU:
+    the run stops without closing the caller's generator source."""
+    gen = with_overrides(preset("paper_synth"), length=800, seed=6)
+    features = list(generate(gen))[fails_at - 1].features
+    model = build("fabboo", Notion.SP, 4, gen)
+    source = generate(gen)
+    with switch_at(300), pytest.raises(ArithmeticError), \
+            learners_fail(model, [(0, "train_weighted", HEAD_FAILS)],
+                          features):
+        run(model, source, Notion.SP, cpus=1)
+    assert source.gi_frame is not None
+    assert next(source).seq == fails_at + 1
 
 
 def test_a_run_whose_fork_fails_stays_serial():
