@@ -214,6 +214,7 @@ def main(argv=None) -> int:
         if args.command == "export":
             gen = with_overrides(preset(args.preset_name), length=args.length,
                                  seed=args.seed)
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             save_csv(args.out, gen.schema(), generate(gen))
             print(f"wrote {gen.length} instances to {args.out}")
             return EXIT_OK

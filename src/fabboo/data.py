@@ -56,7 +56,8 @@ class DatasetSchema:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise DataError("duplicate attribute names in schema")
-        prot = self._find(self.protected_attribute)
+        prot = next((a for a in self.attributes
+                     if a.name == self.protected_attribute), None)
         if prot is None:
             raise DataError(f"protected attribute {self.protected_attribute!r} not declared")
         if prot.kind != "cat":
@@ -69,12 +70,6 @@ class DatasetSchema:
             raise DataError(f"positive label {self.positive_value!r} not in label alphabet")
         if len(self.label_values) < 2:
             raise DataError("label alphabet needs at least two values")
-
-    def _find(self, name: str) -> AttributeSpec | None:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        return None
 
     @property
     def protected_index(self) -> int:
@@ -113,12 +108,10 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
         if len(col) < len(header):
             dup = next(h for i, h in enumerate(header) if col[h] != i)
             raise DataError(f"{path}: duplicate column {dup!r}")
-        for a in schema.attributes:
-            if a.name not in col:
-                raise DataError(f"{path}: missing column {a.name!r}")
-        if schema.label_name not in col:
-            raise DataError(f"{path}: missing column {schema.label_name!r}")
-        known = {a.name for a in schema.attributes} | {schema.label_name}
+        known = [a.name for a in schema.attributes] + [schema.label_name]
+        for name in known:
+            if name not in col:
+                raise DataError(f"{path}: missing column {name!r}")
         extra = [name for name in header if name not in known]
         if extra:
             raise DataError(f"{path}: unknown column {extra[0]!r}")
@@ -166,12 +159,19 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
 
 def _rows(path, reader):
     """The rows of the csv `reader` of file `path`; a decoding or csv error
-    is raised as a DataError that names the reader's line."""
+    is raised as a DataError that names its line."""
     try:
         yield from reader
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: byte {e.object[e.start:e.end].hex()} after "
-                        f"line {reader.line_num} is not UTF-8") from None
+    except UnicodeDecodeError:   # decode the file again, for the byte's offset
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = raw.count(b"\n", 0, e.start) + 1
+            raise DataError(f"{path}: byte {raw[e.start:e.end].hex()} on line "
+                            f"{line} is not UTF-8") from None
+        raise
     except csv.Error as e:
         raise DataError(f"{path}: {e} at line {reader.line_num}") from None
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .data import AttributeSpec, DatasetSchema, Instance, POSITIVE, NEGATIVE
-from .rng import Xorshift64Star
+from .rng import gaussians, outputs
 
 PROTECTED_TOKEN = "A"
 NON_PROTECTED_TOKEN = "B"
@@ -124,8 +124,7 @@ class GeneratorConfig:
 
     def _validate_bias_feasible(self) -> None:
         checkpoints = {1.0, float(self.length or 1)}
-        checkpoints.update(t for t, _ in self.ratio.points)
-        checkpoints.update(t for t, _ in self.bias.points)
+        checkpoints.update(t for t, _ in self.ratio.points + self.bias.points)
         r = self.protected_share
         for t in sorted(checkpoints):
             p = self.ratio.value(t)
@@ -155,39 +154,49 @@ class GeneratorConfig:
 
 
 def generate(config: GeneratorConfig) -> Iterator[Instance]:
-    """Deterministic instance stream for the given configuration."""
-    rng = Xorshift64Star(config.seed)
-    r = config.protected_share
-    pos_means = config.pos_means
-    neg_means = config.neg_means
-    stds = config.stds
-    d = len(pos_means)
-    drifts = config.drifts
-    for t in range(1, config.length + 1):
+    """Deterministic instance stream for the given configuration; rates,
+    drift shift and class means are computed only where they can change."""
+    outs = outputs(config.seed)
+    draw, normal = outs.__next__, gaussians(outs).__next__
+    r, drifts, stds = config.protected_share, config.drifts, config.stds
+    new = tuple.__new__   # Instance(...) without its Python-level __new__
+
+    def rates(t):   # P(+), P(protected | +) and P(protected | -)
         p = config.ratio.value(t)
-        b = config.bias.value(t)
-        positive = rng.uniform() < p
-        a = p - (1.0 - r) * b
-        if positive:
-            p_z = a * r / p if p > 0.0 else 0.0
-        else:
-            p_z = (1.0 - a) * r / (1.0 - p) if p < 1.0 else 0.0
-        group = rng.uniform() < p_z
-        shift = 0.0
-        for ev in drifts:
-            shift += ev.shift(t)
+        a = p - (1.0 - r) * config.bias.value(t)
+        return (p, a * r / p if p > 0.0 else 0.0,
+                (1.0 - a) * r / (1.0 - p) if p < 1.0 else 0.0)
+
+    def means(shift):   # the class means, shifted toward each other
+        mu_pos, mu_neg = [], []
+        for pm, nm in zip(config.pos_means, config.neg_means):
+            step = shift * (pm - nm)
+            mu_pos.append(pm - step)
+            mu_neg.append(nm + step)
+        return mu_pos, mu_neg
+
+    p, z_pos, z_neg = rates(1)
+    varying = len(config.ratio.points) + len(config.bias.points) > 2
+    starts = (None if any(ev.kind != "sudden" for ev in drifts)
+              else {ev.start for ev in drifts})
+    shift, (mu_pos, mu_neg) = 0.0, means(0.0)
+    for t in range(1, config.length + 1):
+        if varying:
+            p, z_pos, z_neg = rates(t)
+        if starts is None or t in starts:
+            total = 0.0
+            for ev in drifts:
+                total += ev.shift(t)
+            if total != shift:
+                shift, (mu_pos, mu_neg) = total, means(total)
+        positive = (draw() >> 11) * 2.0 ** -53 < p
+        group = (draw() >> 11) * 2.0 ** -53 < (z_pos if positive else z_neg)
         feats = []
-        if positive:
-            for j in range(d):
-                mu = pos_means[j] - shift * (pos_means[j] - neg_means[j])
-                feats.append(rng.normal(mu, stds[j]))
-        else:
-            for j in range(d):
-                mu = neg_means[j] + shift * (pos_means[j] - neg_means[j])
-                feats.append(rng.normal(mu, stds[j]))
+        for mu, s in zip(mu_pos if positive else mu_neg, stds):
+            feats.append(mu + s * normal())
         feats.append(PROTECTED_TOKEN if group else NON_PROTECTED_TOKEN)
-        yield Instance(tuple(feats), group,
-                       POSITIVE if positive else NEGATIVE, t)
+        yield new(Instance, (tuple(feats), group,
+                             POSITIVE if positive else NEGATIVE, t))
 
 
 def _gauss_config(gaps, n: int, ratio: Schedule, bias: Schedule,

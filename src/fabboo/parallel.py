@@ -40,12 +40,10 @@ PIPELINE_MIN_ARRIVALS = 2000
 # an export hands its rows to a writer process only after this many.
 # Starting the writer costs some 20-40 ms (importing
 # multiprocessing.connection, the fork, the helper's last batch), and the
-# first 10-20k rows after it gain little, since the scheduler often runs
-# the helper on the caller's CPU at first. paper_synth exports (2 vCPUs,
-# medians of 16 alternating pairs in fresh processes) that forked at 1,000
-# rows ran at 0.67x serial speed at 2,400 rows, 0.8x at 5,000 and
-# 0.9-1.4x at 20,000; forked here, they ran at 0.92x at 10,001 rows,
-# 1.03x at 20,000 and 1.36x at 40,000
+# scheduler often runs the helper on the caller's CPU at first.
+# paper_synth exports forked here (2 vCPUs, medians of 16 alternating
+# pairs in fresh processes) ran at 0.93x serial speed at 10,001 rows,
+# 0.98x at 20,000 and 1.41x at 40,000
 EXPORT_MIN_ROWS = 10000
 
 

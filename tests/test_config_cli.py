@@ -376,10 +376,13 @@ def test_malformed_data_exits_3(tmp_path):
 
 @pytest.mark.parametrize("data, message", [
     (b"age,sex,y\n31,F,good\n3\xe9,M,bad\n",
-     "byte e9 after line 0 is not UTF-8"),
+     "byte e9 on line 3 is not UTF-8"),
+    # past the text layer's first 8 KB chunk
+    (b"age,sex,y\n" + b"31,F,good\n" * 2000 + b"3\xe9,M,bad\n",
+     "byte e9 on line 2002 is not UTF-8"),
     (b"age,sex,y\n31,F,good\n" + b"4" * 200_000 + b",M,bad\n",
      "field larger than field limit (131072) at line 3"),
-], ids=["latin1_byte", "huge_field"])
+], ids=["latin1_byte", "late_latin1_byte", "huge_field"])
 def test_unreadable_data_exits_3(tmp_path, capsys, data, message):
     bad = tmp_path / "d.csv"
     bad.write_bytes(data)
@@ -738,3 +741,11 @@ def test_export_round_trip(tmp_path):
     got = [i.features for i in ds]
     want = [i.features for i in direct]
     assert got == want  # repr round-trip keeps floats exact
+
+
+def test_export_creates_missing_directories(tmp_path):
+    argv = ["export", "--preset", "paper_synth", "--length", "10", "--out"]
+    nested = tmp_path / "a" / "b" / "x.csv"
+    assert main(argv + [str(nested)]) == 0
+    assert main(argv + [str(tmp_path / "x.csv")]) == 0
+    assert nested.read_bytes() == (tmp_path / "x.csv").read_bytes()

@@ -3,13 +3,16 @@ the pinned presets."""
 
 import math
 import statistics
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from fabboo import (DriftEvent, GeneratorConfig, GeneratorError, Schedule,
-                    generate, preset, with_overrides)
-from fabboo.data import POSITIVE
+                    Xorshift64Star, generate, preset, with_overrides)
+from fabboo.data import Instance, NEGATIVE, POSITIVE
+from fabboo.generators import NON_PROTECTED_TOKEN, PRESET_NAMES, PROTECTED_TOKEN
 from fabboo.tree import HoeffdingTree, TreeParams
 
 
@@ -195,3 +198,108 @@ def test_length_override_trims_drifts():
     short = with_overrides(cfg, length=30_000)
     assert short.length == 30_000
     assert all(ev.start <= 30_000 for ev in short.drifts)
+
+
+# ------------------------------------------------------ reference oracle
+
+def reference_generate(config):
+    """generate() as written before its per-stream work was hoisted: every
+    arrival evaluates both schedules, the drift sum and the class means,
+    and draws through Xorshift64Star."""
+    rng = Xorshift64Star(config.seed)
+    r = config.protected_share
+    pos_means = config.pos_means
+    neg_means = config.neg_means
+    stds = config.stds
+    d = len(pos_means)
+    drifts = config.drifts
+    for t in range(1, config.length + 1):
+        p = config.ratio.value(t)
+        b = config.bias.value(t)
+        positive = rng.uniform() < p
+        a = p - (1.0 - r) * b
+        if positive:
+            p_z = a * r / p if p > 0.0 else 0.0
+        else:
+            p_z = (1.0 - a) * r / (1.0 - p) if p < 1.0 else 0.0
+        group = rng.uniform() < p_z
+        shift = 0.0
+        for ev in drifts:
+            shift += ev.shift(t)
+        feats = []
+        if positive:
+            for j in range(d):
+                mu = pos_means[j] - shift * (pos_means[j] - neg_means[j])
+                feats.append(rng.normal(mu, stds[j]))
+        else:
+            for j in range(d):
+                mu = neg_means[j] + shift * (pos_means[j] - neg_means[j])
+                feats.append(rng.normal(mu, stds[j]))
+        feats.append(PROTECTED_TOKEN if group else NON_PROTECTED_TOKEN)
+        yield Instance(tuple(feats), group,
+                       POSITIVE if positive else NEGATIVE, t)
+
+
+def assert_same_stream(config):
+    for got, want in zip_longest(generate(config), reference_generate(config)):
+        assert got == want
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_the_reference(name):
+    """Whole streams, cut 1,000 arrivals past the end of the last drift
+    (5,000 arrivals without drifts), at two seeds."""
+    config = preset(name)
+    cut = max((ev.start + ev.duration for ev in config.drifts),
+              default=4000) + 1000
+    for seed in (1, 2):
+        assert_same_stream(with_overrides(config, length=cut, seed=seed))
+
+
+def _schedule(values):
+    return st.one_of(
+        values.map(Schedule.constant),
+        st.lists(st.tuples(st.integers(1, 60), values), min_size=2,
+                 max_size=4).map(lambda pts: Schedule(tuple(
+                     (float(t), v) for t, v in sorted(pts, key=lambda p: p[0])))))
+
+
+_DRIFT = st.builds(
+    lambda kind, start, duration, magnitude: DriftEvent(
+        kind, start, 0 if kind == "sudden" else duration, magnitude),
+    st.sampled_from(("sudden", "gradual", "recurrent")),
+    st.integers(1, 40), st.integers(1, 30), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def small_configs(draw):
+    d = draw(st.integers(1, 4))
+    means = st.floats(-3.0, 3.0)
+    length = draw(st.integers(0, 50))
+    drifts = [ev for ev in draw(st.lists(_DRIFT, max_size=4))
+              if ev.start <= max(length, 1)]
+    try:
+        return GeneratorConfig(
+            pos_means=tuple(draw(means) for _ in range(d)),
+            neg_means=tuple(draw(means) for _ in range(d)),
+            stds=tuple(draw(st.floats(0.1, 3.0)) for _ in range(d)),
+            ratio=draw(_schedule(st.one_of(st.sampled_from((0.0, 1.0)),
+                                           st.floats(0.0, 1.0)))),
+            bias=draw(_schedule(st.one_of(st.just(0.0), st.floats(-0.3, 0.3)))),
+            length=length,
+            seed=draw(st.integers(0, 2**64 - 1)),
+            drifts=tuple(drifts))
+    except GeneratorError:   # a bias the ratio cannot carry
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_configs())
+@example(small_config(length=0))
+@example(small_config(length=20, pos_means=(1.0, 0.5, 0.2),
+                      neg_means=(-1.0, 0.0, 0.1), stds=(1.0, 2.0, 0.5),
+                      drifts=(DriftEvent("sudden", 5, 0, 1.0),)))
+def test_small_configs_match_the_reference(config):
+    """Odd attribute counts carry the Box-Muller spare across instances;
+    events overlap and come in any order; ratios reach 0 and 1."""
+    assert_same_stream(config)
