@@ -87,8 +87,8 @@ class DatasetSchema:
 
 
 def load_csv(path, schema: DatasetSchema) -> list[Instance]:
-    """Parse a comma-separated UTF-8 file (header row first) against `schema`
-    into its instances, in file order.
+    """Parse a UTF-8 CSV file (header row first, after any byte-order mark)
+    against `schema` into its instances, in file order.
 
     Rows are checked strictly: every schema column must be present, no
     header name may repeat, tokens in numeric columns must parse as finite
@@ -98,7 +98,7 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
     lines that csv cannot parse. Row numbers in error messages count data
     rows from 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _rows(path, csv.reader(fh))
         try:
             header = [h.strip() for h in next(reader)]

@@ -16,6 +16,7 @@ the feature space, and uninformative attributes stay uninformative.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -46,6 +47,7 @@ class Schedule:
         ts = [t for t, _ in self.points]
         if ts != sorted(ts):
             raise GeneratorError("schedule control points must be sorted by t")
+        object.__setattr__(self, "_ts", ts)   # for value's bisect
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":
@@ -53,13 +55,11 @@ class Schedule:
 
     def value(self, t: float) -> float:
         pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t <= t1:
-                frac = (t - t0) / (t1 - t0)
-                return v0 + frac * (v1 - v0)
-        return pts[-1][1]
+        i = bisect_left(self._ts, t)   # the first point at or past t
+        if not 0 < i < len(pts):   # at or before the first, or past the last
+            return pts[max(i - 1, 0)][1]
+        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
+        return v0 + (t - t0) / (t1 - t0) * (v1 - v0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,16 @@
-"""Forked helper processes: `Helper(child)` forks a process that runs
-child(inbox, outbox) over two one-way pipes and exits. `pooled` runs a
-`fabboo run`'s shuffles on helpers, `start` the boosting pipeline, and
-`written` hands the rest of an export to a helper that writes it.
+"""Forked helper processes, with one protocol. `Helper(child)` forks a
+process that runs the plain function child(inbox, send) and exits: child
+reads the caller's messages from `inbox`, and each message it passes to
+`send` reaches the caller as ("more", message). The last is ("done",
+what child returned) or ("failed", the error it raised), sent after the
+helper has closed `inbox`, so that a caller blocked sending to it reads
+the error rather than waits; `Helper.outcome()` returns or raises it.
+`pooled` runs a `fabboo run`'s shuffles on helpers. The boosting pipeline
+(`start`) and an export's writer (`written`) share one ordered hand-off,
+`_through`, where errors surface as the serial loop meets them: a
+helper's error at the item it failed on, and a source error pulled ahead
+when its item is due, after the helper's outcome (for the writer: after
+it has flushed the file).
 
 The pipeline: learner i's weight depends only on the label, ocis and the
 post-update margins of learners 1..i-1, never on the prediction, theta or
@@ -9,19 +18,15 @@ the fairness ledger, so learners 1..k can run ahead of the rest without
 changing a float. `start` forks a helper that keeps learners[:k],
 k = ceil(N / 2), and a copy of the model's ImbalanceMonitor; parallel.py
 says when. The caller pulls up to LOOKAHEAD arrivals ahead of the one it
-serves and sends them to the helper. For each, the helper returns the
-head's margin sum on x, taken before it trains on x, and the recurrence's
-(q, w) after learner k; the caller sets them as `model.head`, and `score`
-and `train_instance` continue from them over `model.tail` = learners[k:],
-in the serial addition order. When the stream ends, the helper pickles
-its learners back into learners[:k], so the model ends in the serial
-state.
-
-Errors surface where the serial loop meets them: an error of a head
-learner is raised by `predict` (scoring) or `train_instance` (training)
-on its arrival, and a source error pulled ahead is raised when the
-arrival it stands for is due. A model whose run failed is not to be
-reused: its head learners are as the fork left them.
+serves. For each, the helper returns the head's margin sum on x, taken
+before it trains on x, and the recurrence's (q, w) after learner k; the
+caller sets them as `model.head`, and `score` and `train_instance`
+continue from them over `model.tail` = learners[k:], in the serial
+addition order. A head learner's error is raised by `predict` (scoring)
+or `train_instance` (training) on its arrival. When the stream ends, the
+helper returns its learners into learners[:k], so the model ends in the
+serial state; a model whose run failed keeps them as the fork left them
+and is not to be reused.
 
 An error crosses from a helper pickled, with the helper's traceback as a
 note (Python 3.11+); an error that does not survive pickling is raised
@@ -50,19 +55,21 @@ LOOKAHEAD = 512
 # arrivals per message between the caller and the helper
 _BATCH = 16
 # a wait polls this long before it blocks: a blocked process wakes late
-# on a busy host, and a pipeline waits once per message
+# on a busy host, and a pipeline waits once per message. A plain blocking
+# read was within the runs' spread (10 alternating bench pairs, 2 vCPUs,
+# medians): synth_fabboo 9,512/s against 9,395, export_synth 119.6k/s
+# against 118.4k, but synth_fabboo's p99 and setup_s read higher with it
 _SPIN_S = 0.002
-# rows per message from an export to its writer: about 61 kB pickled on
-# paper_synth, so that a send fills at most one pipe buffer and blocks
-# while the writer is behind, which bounds what the rows hold in memory
+# rows per message to an export's writer, which acknowledges each (about
+# 61 kB pickled on paper_synth). Three messages' rows held ahead bound the
+# memory; with two, the writer idled and export_synth ran 6% slower
 _ROWS = 1000
 
 _fork = os.fork
 
 
 class Helper:
-    """A forked process that runs child(inbox, outbox), where inbox and
-    outbox are its ends of two one-way pipes, and then exits."""
+    """A forked process that runs child(inbox, send); see the module."""
 
     def __init__(self, child):
         down_r, down_w = Pipe(duplex=False)   # to the helper
@@ -78,7 +85,13 @@ class Helper:
             try:
                 down_w.close()
                 up_r.close()
-                child(down_r, up_w)
+                try:
+                    last = ("done", child(down_r,
+                                          lambda m: up_w.send(("more", m))))
+                except Exception as e:
+                    down_r.close()   # the caller's sends fail, not block
+                    last = ("failed", _portable(e))
+                up_w.send(last)
                 status = 0
             finally:
                 os._exit(status)
@@ -86,6 +99,7 @@ class Helper:
         up_w.close()
         self.pid = pid
         self.inbox, self.outbox = up_r, down_w
+        self.last = None
 
     def send(self, message) -> None:
         try:
@@ -94,13 +108,26 @@ class Helper:
             pass   # it failed or died; what it sent before says which
 
     def recv(self):
-        """The helper's next message, polled for up to _SPIN_S before the
-        read blocks."""
-        try:
-            return _recv(self.inbox)
-        except EOFError:
-            raise RuntimeError("a helper process exited unexpectedly") \
-                from None
+        """The helper's next message, or None once its last has come."""
+        if self.last is None:
+            try:
+                kind, value = _recv(self.inbox)
+            except EOFError:
+                raise RuntimeError("a helper process exited unexpectedly") \
+                    from None
+            if kind == "more":
+                return value
+            self.last = kind, value
+        return None
+
+    def outcome(self):
+        """What the helper returned; the error it raised is raised here."""
+        while self.recv() is not None:
+            pass
+        kind, value = self.last
+        if kind == "failed":
+            raise value
+        return value
 
     def close(self) -> None:
         self.outbox.close()
@@ -120,29 +147,58 @@ def pooled(task, n: int, workers: int) -> list:
     helpers = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            try:
-                helper = Helper(partial(_run_slice, task, range(lo, hi)))
+            try:   # the child runs at once, with this lo and hi
+                helper = Helper(lambda inbox, send:
+                                [task(i) for i in range(lo, hi)])
             except OSError:   # no process to be had
                 break
             helpers.append(helper)
         results = [task(i) for i in range(bounds[1])]
         for helper in helpers:
-            ok, value = helper.recv()
-            if not ok:
-                raise value
-            results += value
+            results += helper.outcome()
         return results + [task(i) for i in range(len(results), n)]
     finally:
         for helper in helpers:
             helper.close()
 
 
-def _run_slice(task, indices, inbox, outbox) -> None:
-    try:
-        message = (True, [task(i) for i in indices])
-    except Exception as e:
-        message = (False, _portable(e))
-    outbox.send(message)
+def _through(helper, items, ahead: int, size: int, wire):
+    """Yield (item, result) for each item of the iterator `items`, in
+    order: `helper` gets wire(item) in lists of `size`, up to `ahead`
+    items (a multiple of `size`) before the one yielded, and answers each
+    list with a list of results; its inbox closes when `items` ends."""
+    pending = deque()   # pulled, in order
+    batch = []          # wire(item) of items pulled but not yet sent
+    results = deque()   # the helper's, in order
+    ended = False       # `items` ended or failed: all is sent
+    failure = None      # the error of `items`
+    while True:
+        while not ended and len(pending) < ahead:
+            try:
+                item = next(items)
+            except StopIteration:
+                ended = True
+            except Exception as e:
+                ended, failure = True, e
+            else:
+                pending.append(item)
+                batch.append(wire(item))
+            if ended or len(batch) == size:
+                helper.send(batch)
+                batch = []
+                if ended:   # the helper sees the end of the items
+                    helper.outbox.close()
+        if not pending:
+            break
+        while not results:
+            more = helper.recv()
+            if more is None:   # it failed on this item
+                helper.outcome()
+            results.extend(more)
+        yield pending.popleft(), results.popleft()
+    if failure is not None:
+        helper.outcome()
+        raise failure
 
 
 def start(model, stream):
@@ -160,54 +216,44 @@ def start(model, stream):
 
 
 def _pipelined(model, k, helper, stream):
-    pending = deque()      # pulled ahead, in arrival order
-    outbox = []            # (features, label) pulled but not yet sent
-    heads = deque()        # the helper's results, in arrival order
-    final = None           # the helper's last message
-    ended = False          # the stream ended or failed: all is sent
-    failure = None         # the source's error, raised when it is due
     try:
         model.tail = model.learners[k:]
-        while True:
-            while not ended and len(pending) < LOOKAHEAD:
+        for inst, head in _through(helper, stream, LOOKAHEAD, _BATCH,
+                                   lambda i: (i.features, i.label)):
+            model.head = head
+            if len(head) == 1:   # the head failed to train on inst
                 try:
-                    inst = next(stream)
-                except StopIteration:
-                    ended = True
+                    helper.outcome()
                 except Exception as e:
-                    ended, failure = True, e
-                else:
-                    pending.append(inst)
-                    outbox.append((inst.features, inst.label))
-                if ended or len(outbox) == _BATCH:
-                    helper.send(outbox)
-                    outbox = []
-                    if ended:   # the helper sees the end of the stream
-                        helper.outbox.close()
-            if not pending:
-                break
-            while not heads and final is None:
-                batch, final = helper.recv()
-                heads.extend(batch)
-            if heads:
-                model.head = heads.popleft()
-            else:   # the helper failed on this arrival
-                _, s, error = final
-                if s is None:
-                    raise error       # a head learner failed to score
-                model.head = (s, 0.0, 1.0)
-                model.head_error = error
-            yield pending.popleft()
-        if failure is not None:
-            raise failure
-        while final is None:
-            _, final = helper.recv()
-        model.learners[:k] = final[1]
+                    model.head_error = e
+            yield inst
+        model.learners[:k] = helper.outcome()
     finally:
         helper.close()
         model.tail = model.learners
         model.head = NO_HEAD
         model.head_error = None
+
+
+def _serve(model, k: int, inbox, send) -> list:
+    """The pipeline's helper: score, then train, learners[:k] on each
+    arrival the caller sends, with (s, q, w) for each, or (s,) for one
+    whose training failed; at the end of the stream, return them."""
+    head = model.learners[:k]
+    monitor = model.monitor
+    chain = model.chain
+    for batch in _messages(inbox):
+        out = []
+        try:
+            for features, label in batch:
+                s = margin_sum(head, features, 0.0)
+                monitor.update(label)
+                out.append((s,))   # until it has trained on x
+                out[-1] += chain(head, features, label, monitor.ocis(),
+                                 0.0, 1.0)
+        finally:
+            send(out)
+    return head
 
 
 def written(fh, writer, rows) -> None:
@@ -226,49 +272,31 @@ def written(fh, writer, rows) -> None:
         writer.writerows(rows)
         return
     try:   # from here on, only the helper writes to fh
-        batch = []
-        failure = None
-        try:
-            for row in rows:
-                batch.append(row)
-                if len(batch) == _ROWS:
-                    helper.send(batch)
-                    batch = []
-                    if helper.inbox.poll(0):   # the helper failed
-                        break
-        except Exception as e:
-            failure = e
-        helper.send(batch)
-        helper.outbox.close()   # the end of the rows
-        error = helper.recv()   # the helper has flushed fh
-        if error is not None:
-            raise error
-        if failure is not None:
-            raise failure
+        for _ in _through(helper, rows, 3 * _ROWS, _ROWS, tuple):
+            pass
+        helper.outcome()   # the helper has flushed fh
     finally:
         helper.close()
 
 
-def _write(fh, writer, inbox, outbox) -> None:
-    """The export helper's loop: write each batch of rows as it comes; at
-    the end of the rows, or on an error, flush `fh` and send the error or
-    None."""
-    error = None
+def _write(fh, writer, inbox, send) -> None:
+    """The export helper: write each batch of rows as it comes and
+    acknowledge it; at the end of the rows, or on an error, flush `fh`."""
     try:
-        while True:
-            try:
-                batch = inbox.recv()
-            except EOFError:
-                break
+        for batch in _messages(inbox):
             writer.writerows(batch)
-    except Exception as e:
-        error = e
-        inbox.close()   # the caller's sends fail rather than block
-    try:
+            send([None] * len(batch))
+    finally:
         fh.flush()   # os._exit drops what a buffer holds
-    except Exception as e:   # as the serial path's close raises it
-        error = e
-    outbox.send(None if error is None else _portable(error))
+
+
+def _messages(conn):
+    """The messages on `conn` until the other end closes it."""
+    while True:
+        try:
+            yield _recv(conn)
+        except EOFError:
+            return
 
 
 def _recv(conn):
@@ -279,35 +307,6 @@ def _recv(conn):
         while not conn.poll(0) and time.perf_counter() < deadline:
             pass
     return conn.recv()
-
-
-def _serve(model, k: int, inbox, outbox) -> None:
-    """The helper's loop: score, then train, learners[:k] on each arrival
-    the caller sends; at the end of the stream, send them back."""
-    head = model.learners[:k]
-    monitor = model.monitor
-    chain = model.chain
-    while True:
-        try:
-            batch = _recv(inbox)
-        except EOFError:
-            outbox.send(([], ("done", head)))
-            return
-        out = []
-        for features, label in batch:
-            try:
-                s = margin_sum(head, features, 0.0)
-            except Exception as e:
-                outbox.send((out, ("failed", None, _portable(e))))
-                return
-            monitor.update(label)
-            try:
-                q, w = chain(head, features, label, monitor.ocis(), 0.0, 1.0)
-            except Exception as e:
-                outbox.send((out, ("failed", s, _portable(e))))
-                return
-            out.append((s, q, w))
-        outbox.send((out, None))
 
 
 def _portable(error: Exception) -> Exception:

@@ -35,6 +35,9 @@ def test_three_row_parse(tmp_path, schema):
     assert first.group is True and first.label == POSITIVE and first.seq == 1
     assert ds[1].group is False
     assert ds[2].label == NEGATIVE
+    # a leading UTF-8 byte-order mark, as Excel writes it, is skipped
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    assert load_csv(p, schema) == ds
 
 
 def test_header_only_gives_empty_dataset(tmp_path, schema):
