@@ -19,7 +19,10 @@ from .config import (PARAMS, ConfigError, ExperimentConfig, config_to_text,
                      parse_config_file, parse_notion)
 from .data import DataError, load_csv, save_csv, shuffled
 from .generators import generate, preset, with_overrides
-from .prequential import Summary, run_prequential, write_trace
+# write_trace is not called here, but bench/spans.py wraps it by this
+# module's name
+from .prequential import (Summary, TraceWriter, run_prequential,
+                          write_trace)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -145,14 +148,15 @@ def aggregate_text(summaries: list[Summary]) -> str:
 
 def _run_shuffle(cfg: ExperimentConfig, kinds, source, i: int,
                  cpus: int) -> Summary:
-    """Evaluate shuffle i on up to `cpus` CPUs and write its trace and
-    summary."""
+    """Evaluate shuffle i on up to `cpus` CPUs, writing each trace row to
+    its trace.csv as the run makes it, then its summary. A failed run
+    leaves the rows before the failing arrival and no summary."""
     model = build_model(cfg, kinds)
-    trace, summary = run_prequential(model, source(i), cfg.eval_config(),
-                                     cpus=cpus)
     run_dir = Path(cfg.out_dir) / f"shuffle-{i:02d}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_trace(run_dir / "trace.csv", trace)
+    with open(run_dir / "trace.csv", "w", encoding="utf-8") as fh:
+        _, summary = run_prequential(model, source(i), cfg.eval_config(),
+                                     TraceWriter(fh), cpus=cpus)
     (run_dir / "summary.txt").write_text(summary.to_text(), encoding="utf-8")
     return summary
 

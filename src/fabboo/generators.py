@@ -233,7 +233,9 @@ def preset(name: str) -> GeneratorConfig:
 
     paper_synth reproduces the shape of the full-scale benchmark stream
     (6 Gaussian attributes, ~1:3.13 class ratio, constant bias, 5 sudden
-    concept inversions at fixed fractions of the stream). The remaining
+    drifts at fixed fractions of the stream, of magnitude +-0.2: the
+    first, third and fifth move each class mean 20% of its gap toward the
+    other class, and the second and fourth move it back). The remaining
     presets are 50k-instance desk-scale streams for the ratio and drift
     studies; the drift presets fluctuate the encoded bias over time.
     """

@@ -14,7 +14,10 @@ serial loop.
 
 The per-step trace (one row every `stride` steps) and the final summary are
 both derived from the same streaming counters, so summary values can be
-recomputed offline from a stride-1 trace.
+recomputed offline from a stride-1 trace. The trace goes to any object
+with `append(row)`: a list by default, or a `TraceWriter`, which writes
+each row to an open file as it is made. The CLI streams every shuffle's
+trace to its `trace.csv` that way, so a run holds no trace row in memory.
 """
 
 from __future__ import annotations
@@ -63,6 +66,19 @@ class TraceRow(NamedTuple):
 
 
 TRACE_HEADER = "t,pred,label,group,ocis,cum_metric,theta,bal_acc,gmean,recall,kappa"
+_ROW = "{},{},{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
+
+
+class TraceWriter:
+    """A trace that writes the header to the open text file `fh`, then each
+    appended row as one CSV line; it keeps no row."""
+
+    def __init__(self, fh):
+        fh.write(TRACE_HEADER + "\n")
+        self._write = fh.write
+
+    def append(self, row: TraceRow) -> None:
+        self._write(_ROW(*row))
 
 
 @dataclass
@@ -89,12 +105,14 @@ class Summary:
 
 def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
                     config: EvalConfig = EvalConfig(),
-                    trace: list[TraceRow] | None = None, *,
-                    cpus: int | None = None):
+                    trace=None, *, cpus: int | None = None):
     """Evaluate `model` prequentially over `source`.
 
-    Returns (trace, summary). Pass `trace` to keep the partial trace when a
-    model or source error aborts the run (the exception propagates).
+    Returns (trace, summary). `trace` is any object with `append(row)`
+    (a new list when None), which gets each TraceRow as it is made: pass
+    a list to keep the partial trace when a model or source error aborts
+    the run (the exception propagates), or a TraceWriter to write the
+    rows to a file instead of holding them.
     `cpus` is the number of CPUs the run may use (default: every usable
     one); with two or more, a long run of a BoostedEnsemble may pipeline
     its boosting chain across two processes (see parallel.py), with the
@@ -146,8 +164,6 @@ def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
 
 def write_trace(path, rows: Iterable[TraceRow]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.t},{r.pred},{r.label},{r.group},{r.ocis:.6f},"
-                     f"{r.cum_metric:.6f},{r.theta:.6f},{r.bal_acc:.6f},"
-                     f"{r.gmean:.6f},{r.recall:.6f},{r.kappa:.6f}\n")
+        sink = TraceWriter(fh)
+        for row in rows:
+            sink.append(row)

@@ -6,17 +6,21 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fabboo import (EnsembleParams, EvalConfig, Notion, method_params,
-                    parse_config_text, config_to_text)
+from fabboo import (BoostedEnsemble, EnsembleParams, EvalConfig, Notion,
+                    method_params, parse_config_text, config_to_text,
+                    run_prequential, write_trace)
 from fabboo import cli, parallel, pipeline
 from fabboo.cli import main
-from fabboo.config import ConfigError, ExperimentConfig
+from fabboo.config import ConfigError, ExperimentConfig, parse_config_file
 from fabboo.data import DataError
 from fabboo.prequential import TRACE_HEADER, Summary
+
+from conftest import forks
 
 CSV_CONFIG = """
 [source]
@@ -529,18 +533,9 @@ def pools(monkeypatch):
     """Two usable CPUs, whatever the machine has; lists the pid of every
     helper process the CLI forks, in the order it forks them. Pooled
     shuffles never pipeline, so in a pooled run these are the pool's."""
-    started = []
-    fork = pipeline._fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(pipeline, "_fork", counting_fork)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    return started
+    with forks() as started:
+        yield started
 
 
 def source_argv(tmp_path, kind):
@@ -680,27 +675,19 @@ def test_runs_that_start_no_pipeline(tmp_path, monkeypatch, pools, rows,
 
 
 def test_lone_run_pipelines_and_matches_one_cpu(tmp_path, monkeypatch):
-    forked = []
-    fork = pipeline._fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(pipeline, "_fork", counting_fork)
     monkeypatch.setattr(parallel, "PIPELINE_MIN_ARRIVALS",
                         parallel.MIN_ARRIVALS)
     argv = source_argv(tmp_path, "csv") + ["--shuffles", "1"]
     outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus-{cpus}"
-        assert main(argv + ["--out", str(out)]) == 0
-        outputs.append(((out / "shuffle-00" / "trace.csv").read_bytes(),
-                        without_wall_s((out / "shuffle-00" / "summary.txt")
-                                       .read_text(encoding="utf-8"))))
+    with forks() as forked:
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(((out / "shuffle-00" / "trace.csv").read_bytes(),
+                            without_wall_s((out / "shuffle-00" /
+                                            "summary.txt")
+                                           .read_text(encoding="utf-8"))))
     assert len(forked) == 1
     assert outputs[0] == outputs[1]
 
@@ -725,6 +712,131 @@ def test_helper_failure_sets_exit_code(tmp_path, monkeypatch, capsys, pools,
     assert len(pools) == 1
     assert f"{prefix}: {error}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "aggregate.txt").exists()
+
+
+# ---------------------------------------------------------- streamed traces
+
+def config_of(argv):
+    """The ExperimentConfig that main(argv) runs."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
+    return cli.apply_flags(cfg, args)
+
+
+def list_trace_bytes(path, cfg, i, trace=None):
+    """write_trace to `path` of shuffle i of `cfg`, run serially into a
+    list (`trace`, a new one when None); returns the file's bytes."""
+    kinds, _, source = cli.build_sources(cfg)
+    rows = [] if trace is None else trace
+    try:
+        run_prequential(cli.build_model(cfg, kinds), source(i),
+                        cfg.eval_config(), rows, cpus=1)
+    finally:
+        write_trace(path, rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["csv", "preset"])
+@pytest.mark.parametrize("path, cpus, shuffles, helpers", [
+    ("serial", 1, 2, 0), ("pooled", 2, 2, 1), ("pipelined", 2, 1, 1),
+])
+def test_streamed_trace_equals_write_trace_of_a_list(tmp_path, monkeypatch,
+                                                      pools, kind, path,
+                                                      cpus, shuffles, helpers):
+    """Each shuffle's trace.csv, written row by row as the run goes, has
+    the bytes of write_trace of the same run's trace list; on a lone run,
+    the pipeline's helper is forked while the file is open."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "PIPELINE_MIN_ARRIVALS",
+                        parallel.MIN_ARRIVALS)
+    argv = source_argv(tmp_path, kind) + [
+        "--seed", "5", "--shuffles", str(shuffles),
+        "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(pools) == helpers
+    cfg = config_of(argv)
+    for i in range(shuffles):
+        got = tmp_path / "out" / f"shuffle-{i:02d}" / "trace.csv"
+        want = list_trace_bytes(tmp_path / f"list-{i}.csv", cfg, i)
+        assert want.count(b"\n") == POOLED_ROWS + 1
+        assert got.read_bytes() == want
+
+
+class ModelFault(ArithmeticError):
+    pass
+
+
+class Marked(tuple):
+    """The features of the arrival a model fails to learn from."""
+
+
+@pytest.mark.parametrize("fault", ["source", "model"])
+@pytest.mark.parametrize("cpus, failing", [(1, 0), (1, 1), (2, 0), (2, 1)],
+                         ids=["serial-0", "serial-1", "caller-0", "helper-1"])
+def test_a_failed_shuffle_leaves_its_rows_and_no_summary(
+        tmp_path, monkeypatch, capsys, pools, fault, cpus, failing):
+    """Shuffle `failing` of two fails at arrival 700, in its source or in
+    its model: its trace.csv holds the 699 rows before that arrival, the
+    bytes of write_trace of the same failed run's trace list, and its
+    directory has no summary.txt. On two CPUs the caller runs shuffle 0
+    and a helper shuffle 1."""
+    at, seed = 700, 5
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    generate, learn = cli.generate, BoostedEnsemble.learn
+
+    def breaking(gen):
+        for inst in generate(gen):
+            if gen.seed == seed + failing and inst.seq == at:
+                if fault == "source":
+                    raise RuntimeError(f"source broke at arrival {at}")
+                inst = inst._replace(features=Marked(inst.features))
+            yield inst
+
+    def failing_learn(self, features, *args):
+        if type(features) is Marked:
+            raise ModelFault(f"model broke at arrival {at}")
+        return learn(self, features, *args)
+
+    monkeypatch.setattr(cli, "generate", breaking)
+    monkeypatch.setattr(BoostedEnsemble, "learn", failing_learn)
+    argv = source_argv(tmp_path, "preset") + [
+        "--seed", str(seed), "--shuffles", "2",
+        "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert len(pools) == cpus - 1
+    assert f"error: {fault} broke at arrival {at}" in capsys.readouterr().err
+    rows = []
+    with pytest.raises((RuntimeError, ModelFault)):
+        list_trace_bytes(tmp_path / "list.csv", config_of(argv), failing,
+                         rows)
+    assert len(rows) == at - 1
+    run_dir = tmp_path / "out" / f"shuffle-{failing:02d}"
+    assert (run_dir / "trace.csv").read_bytes() == \
+        (tmp_path / "list.csv").read_bytes()
+    assert not (run_dir / "summary.txt").exists()
+    assert not (tmp_path / "out" / "aggregate.txt").exists()
+
+
+def test_a_run_holds_no_trace_rows(tmp_path, monkeypatch):
+    """The traced memory peak of a stride-1 `fabboo run` barely grows from
+    1,000 to 4,000 arrivals: the trace goes to its file as it is made. A
+    list of the 3,000 more rows would take about 1 MB."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+
+    def peak_mb(arrivals):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["run", "--preset", "ratio_fixed", "--length",
+                     str(arrivals), "--learners", "1", "--stride", "1",
+                     "--out", str(tmp_path / str(arrivals))]) == 0
+        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+
+    tracemalloc.start()
+    try:
+        short, long = peak_mb(1_000), peak_mb(4_000)
+    finally:
+        tracemalloc.stop()
+    assert long - short < 0.25
 
 
 def test_export_round_trip(tmp_path):

@@ -18,7 +18,9 @@ import pytest
 from fabboo import (BoostedEnsemble, EvalConfig, Notion, generate,
                     method_params, preset, run_prequential, with_overrides,
                     write_trace)
-from fabboo import parallel, pipeline
+from fabboo import parallel
+
+from conftest import forks
 
 PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
          for n in (Notion.SP, Notion.EQOP, Notion.PEQ)] + \
@@ -167,17 +169,8 @@ def test_trace_digest(tmp_path, cut, method, notion):
 @pytest.mark.parametrize("method,notion", PAIRS, ids=PAIR_IDS)
 def test_pipelined_trace_digest(tmp_path, cut, method, notion):
     key = f"{cut}/{method}/{notion.value if notion else 'none'}"
-    forked = []
-    fork = pipeline._fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
     with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 500), \
-            mock.patch.object(pipeline, "_fork", counting_fork):
+            forks() as forked:
         digest, promotions = run_cut(cut, method, notion,
                                      tmp_path / "trace.csv", cpus=2)
     assert len(forked) == 1

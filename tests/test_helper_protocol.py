@@ -4,7 +4,6 @@ closes its inbox before it reports, and the export and the pipeline give
 the serial bytes while a profiling timer interrupts the calling process.
 """
 
-import os
 import signal
 import time
 from contextlib import contextmanager
@@ -15,36 +14,7 @@ from fabboo import (BoostedEnsemble, EvalConfig, Notion, generate,
                     with_overrides)
 from fabboo import parallel, pipeline
 
-
-@contextmanager
-def forks():
-    """Yields the pids of the helpers forked in the block."""
-    forked = []
-    fork = pipeline._fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    with mock.patch.object(pipeline, "_fork", counting_fork):
-        yield forked
-
-
-@contextmanager
-def alarm(seconds, message):
-    """Fail with `message` if the block runs longer than `seconds`."""
-    def hung(signum, frame):
-        raise AssertionError(message)
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+from conftest import alarm, forks, no_children_left
 
 
 @contextmanager
@@ -58,14 +28,6 @@ def profiling_timer(interval):
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
-
-
-def no_children_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def exported(path, gen, stream, cpus):

@@ -31,25 +31,11 @@ from fabboo import cli, parallel, pipeline
 from fabboo.config import ExperimentConfig
 from fabboo.tree import HoeffdingTree, _Node
 
+from conftest import alarm, forks, no_children_left, open_fds
+
 PAIRS = [(m, n) for m in ("fabboo", "ofib", "cfbb")
          for n in (Notion.SP, Notion.EQOP, Notion.PEQ)] + \
         [("osboost", None), ("imbalance_only", None)]
-
-
-@contextmanager
-def forks():
-    """Yields the pids of the helpers forked in the block."""
-    forked = []
-    fork = pipeline._fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    with mock.patch.object(pipeline, "_fork", counting_fork):
-        yield forked
 
 
 @contextmanager
@@ -93,21 +79,6 @@ def trace_bytes(rows):
         path = Path(d) / "trace.csv"
         write_trace(path, rows)
         return path.read_bytes()
-
-
-def open_fds():
-    """This process's open file descriptors, where the platform lists
-    them."""
-    fd_dir = "/proc/self/fd"
-    return sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
-
-
-def no_children_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 @settings(max_examples=20, deadline=None)
@@ -335,21 +306,6 @@ def test_a_write_error_after_the_fork_reaches_the_caller(tmp_path):
         outcomes.append((type(error), str(error), output))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] is OSError
-
-
-@contextmanager
-def alarm(seconds, message):
-    """Fail with `message` if the block runs longer than `seconds`."""
-    def hung(signum, frame):
-        raise AssertionError(message)
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dead_helper_raises_in_the_caller():
