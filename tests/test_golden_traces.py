@@ -7,6 +7,10 @@ format moves a digest. The drift cut moves the `drift_sudden` swap to arrival
 asserts that they do, so the promotion path is pinned too. Every digest is
 checked twice: on one CPU, where the run is serial, and with the boosting
 pipeline forked at arrival 500.
+
+A `fabboo run` on a CSV export is pinned the same way, through the CLI's
+load and shuffle: each shuffle's trace in shuffled order, run serially and
+with one pooled helper, and the trace in stored order.
 """
 
 import hashlib
@@ -16,9 +20,9 @@ from unittest import mock
 import pytest
 
 from fabboo import (BoostedEnsemble, EvalConfig, Notion, generate,
-                    method_params, preset, run_prequential, with_overrides,
-                    write_trace)
-from fabboo import parallel
+                    method_params, preset, run_prequential, save_csv,
+                    with_overrides, write_trace)
+from fabboo import cli, parallel
 
 from conftest import forks
 
@@ -177,3 +181,69 @@ def test_pipelined_trace_digest(tmp_path, cut, method, notion):
     assert digest == DIGESTS[key], key
     if cut == "drift_sudden":
         assert promotions > 0, key
+
+
+# ------------------------------------------------------------- CSV runs
+
+# the first CSV_ROWS rows of paper_synth (seed 1) as a CSV, run by
+# `fabboo run` at N=5, stride 1: each shuffle's trace.csv digest. The
+# pooled run forks one helper for shuffle 1 and must give the same bytes.
+CSV_ROWS = parallel.MIN_ARRIVALS + 200
+CSV_CONFIG = """[source]
+kind = csv
+path = {path}
+features = f1:num, f2:num, f3:num, f4:num, f5:num, f6:num, group:cat(A|B)
+protected = group=A
+label = label:cat(pos|neg)=pos
+order = {order}
+
+[method]
+method = fabboo
+fairness = sp
+learners = 5
+
+[run]
+shuffles = {shuffles}
+seed = 1
+stride = 1
+"""
+
+CSV_DIGESTS = {
+    "shuffled/shuffle-00":
+        "6e9a5bb4181ed5f1545e1a8ddcd1c38982315a72bfa68d1f5c3d5ea68ed57eb9",
+    "shuffled/shuffle-01":
+        "a7b52ec060aacd34191f281ffe6705e9dc951f2fe69c7e38da154da65d355cd2",
+    "stored/shuffle-00":
+        "095c53cbe4c231c966e94867cae6078fe7467b9eb02367e2ab6f21c64cc48ece",
+}
+
+
+def csv_run_digests(tmp_path, order, shuffles):
+    gen = with_overrides(preset("paper_synth"), length=CSV_ROWS, seed=1)
+    data = tmp_path / "paper_synth.csv"
+    save_csv(data, gen.schema(), generate(gen))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CSV_CONFIG.format(path=data, order=order,
+                                     shuffles=shuffles), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    return {f"{order}/{d.name}":
+            hashlib.sha256((d / "trace.csv").read_bytes()).hexdigest()
+            for d in sorted(out.glob("shuffle-*"))}
+
+
+@pytest.mark.parametrize("cpus, helpers", [(1, 0), (2, 1)],
+                         ids=["serial", "pooled"])
+def test_csv_run_trace_digests(tmp_path, monkeypatch, cpus, helpers):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    with forks() as forked:
+        got = csv_run_digests(tmp_path, "shuffled", 2)
+    assert len(forked) == helpers
+    assert got == {k: v for k, v in CSV_DIGESTS.items()
+                   if k.startswith("shuffled/")}
+
+
+def test_csv_stored_run_trace_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert csv_run_digests(tmp_path, "stored", 1) == \
+        {"stored/shuffle-00": CSV_DIGESTS["stored/shuffle-00"]}
