@@ -112,13 +112,16 @@ def build_model(cfg: ExperimentConfig, kinds) -> BoostedEnsemble:
 
 def build_sources(cfg: ExperimentConfig):
     """(kinds, arrivals per shuffle, source) for a run, where source(i)
-    returns shuffle i's instances. A CSV dataset is loaded here, once.
+    returns shuffle i's instances. A CSV dataset is loaded here, once, and
+    one without data rows is a DataError.
 
     Shuffle i uses seed = base seed + i regardless of method, so paired
     method comparisons see identical instance orders.
     """
     if cfg.source_kind == "csv":
         instances = load_csv(cfg.csv_path, cfg.schema)
+        if not instances:
+            raise DataError(f"{cfg.csv_path}: no data rows after the header")
 
         def source(i):
             if cfg.order == "stored":

@@ -4,16 +4,20 @@ Labels are +1 (positive class) / -1 (negative class); the protected-group
 flag is a plain bool (True = protected). Feature vectors are tuples mixing
 floats (numeric attributes) and strings (categorical attributes) in schema
 order; the protected attribute is one of the categorical feature columns.
+A loaded or shuffled dataset holds its attributes as columns (`Dataset`)
+and builds each Instance as it is served.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Iterable, NamedTuple
 
-from .rng import permutation
+from .rng import permute
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -86,9 +90,50 @@ class DatasetSchema:
         raise DataError("label alphabet has no negative value")
 
 
-def load_csv(path, schema: DatasetSchema) -> list[Instance]:
+class Dataset(Sequence):
+    """A read-only sequence of Instances held as columns, each Instance
+    built as it is served. `columns` holds a (values, alphabet) pair per
+    attribute: the values and None (an array('d') when loaded), or
+    small-integer codes into the alphabet tuple, whose own str is served.
+    An instance is protected when its code in `groups = (codes, code)` is
+    `code`; `labels` holds +1/-1 (an array('b') when loaded); `rows` gives
+    the stored row served at each position (a range, or an array('I')
+    when shuffled); seq counts from 1.
+    """
+
+    def __init__(self, columns, groups, labels, rows):
+        self.columns, self.groups, self.labels, self.rows = \
+            columns, groups, labels, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):   # a list; seq keeps each one's position
+            return [self[j] for j in range(len(self))[k]]
+        i = self.rows[k]
+        codes, code = self.groups
+        return Instance(tuple([v[i] if a is None else a[v[i]]
+                               for v, a in self.columns]),
+                        codes[i] == code, self.labels[i], k % len(self) + 1)
+
+    def __iter__(self):   # Sequence's own, through __getitem__, is 2x slower
+        rows, (codes, code) = self.rows, self.groups
+        feats = [map(v.__getitem__, rows) if a is None else
+                 map(a.__getitem__, map(v.__getitem__, rows))
+                 for v, a in self.columns]
+        return map(tuple.__new__, repeat(Instance), zip(
+            zip(*feats), map(code.__eq__, map(codes.__getitem__, rows)),
+            map(self.labels.__getitem__, rows), count(1)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Parse a UTF-8 CSV file (header row first, after any byte-order mark)
-    against `schema` into its instances, in file order.
+    against `schema` into its instances, in file order, held as a Dataset
+    of columns: an Instance is built only when it is served.
 
     Rows are checked strictly: every schema column must be present, no
     header name may repeat, tokens in numeric columns must parse as finite
@@ -98,6 +143,7 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
     lines that csv cannot parse. Row numbers in error messages count data
     rows from 1.
     """
+    from array import array   # a run without a CSV loads no array module
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _rows(path, csv.reader(fh))
         try:
@@ -116,19 +162,26 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
         if extra:
             raise DataError(f"{path}: unknown column {extra[0]!r}")
 
-        instances: list[Instance] = []
-        prot_idx = schema.protected_index
+        # (column, spec, values, codes of a categorical alphabet's tokens)
+        parsers = []
+        for a in schema.attributes:
+            if a.kind == "num":
+                parsers.append((col[a.name], a, array("d"), None))
+            else:
+                values = array("B" if len(a.categories) <= 256 else "I")
+                parsers.append((col[a.name], a, values, {
+                    token: k for k, token in enumerate(a.categories)}))
+        labels = array("b")
+        label_at = col[schema.label_name]
         width = len(header)
         for rownum, raw in enumerate(reader, start=1):
             if len(raw) != width:
                 raise DataError(f"{path}: wrong field count at row {rownum}")
-            cells = [c.strip() for c in raw]
-            feats = []
-            for a in schema.attributes:
-                token = cells[col[a.name]]
+            for at, a, values, codes in parsers:
+                token = raw[at].strip()
                 if token == "":
                     raise DataError(f"{path}: missing value at row {rownum}, column {a.name!r}")
-                if a.kind == "num":
+                if codes is None:
                     try:
                         value = float(token)
                     except ValueError:
@@ -139,22 +192,25 @@ def load_csv(path, schema: DatasetSchema) -> list[Instance]:
                         raise DataError(
                             f"{path}: non-finite value {token!r} at row {rownum}, "
                             f"column {a.name!r}")
-                    feats.append(value)
+                    values.append(value)
+                elif token in codes:
+                    values.append(codes[token])
+                elif a.name == schema.protected_attribute:
+                    raise DataError(f"unmapped protected value at row {rownum}")
                 else:
-                    if token not in a.categories:
-                        if a.name == schema.protected_attribute:
-                            raise DataError(f"unmapped protected value at row {rownum}")
-                        raise DataError(
-                            f"{path}: value {token!r} outside alphabet at row {rownum}, "
-                            f"column {a.name!r}")
-                    feats.append(token)
-            label_token = cells[col[schema.label_name]]
+                    raise DataError(
+                        f"{path}: value {token!r} outside alphabet at row {rownum}, "
+                        f"column {a.name!r}")
+            label_token = raw[label_at].strip()
             if label_token not in schema.label_values:
                 raise DataError(f"unmapped label value at row {rownum}")
-            label = POSITIVE if label_token == schema.positive_value else NEGATIVE
-            group = feats[prot_idx] == schema.protected_value
-            instances.append(Instance(tuple(feats), group, label, rownum))
-    return instances
+            labels.append(POSITIVE if label_token == schema.positive_value
+                          else NEGATIVE)
+    _, _, prot_codes, codes = parsers[schema.protected_index]
+    return Dataset([(values, None if codes is None else a.categories)
+                    for _, a, values, codes in parsers],
+                   (prot_codes, codes[schema.protected_value]), labels,
+                   range(len(labels)))
 
 
 def _rows(path, reader):
@@ -193,14 +249,17 @@ def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None
         parallel.write_rows(fh, writer, rows)
 
 
-def shuffled(instances: list[Instance], seed: int) -> list[Instance]:
+def shuffled(instances: Sequence[Instance], seed: int) -> Dataset:
     """Deterministic shuffle of a dataset: Fisher-Yates over the pinned
-    xorshift64* generator; seq is reassigned 1..n in the new order."""
+    xorshift64* generator; seq is reassigned 1..n in the new order. The
+    result is a Dataset over the same columns whose rows are an
+    array('I'), so Instances are built as they are served."""
     if not instances:
         raise DataError("cannot shuffle an empty dataset")
-    perm = permutation(len(instances), seed)
-    out = []
-    for newpos, src in enumerate(perm, start=1):
-        inst = instances[src]
-        out.append(Instance(inst.features, inst.group, inst.label, newpos))
-    return out
+    from array import array
+    if not isinstance(instances, Dataset):
+        feats, groups, labels, _ = zip(*instances)
+        instances = Dataset([(c, None) for c in zip(*feats)], (groups, True),
+                            labels, range(len(labels)))
+    return Dataset(instances.columns, instances.groups, instances.labels,
+                   permute(array("I", instances.rows), seed))

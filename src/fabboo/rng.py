@@ -65,8 +65,13 @@ class Xorshift64Star:
 
 def permutation(n: int, seed: int) -> list[int]:
     """Fisher-Yates permutation of range(n), driven by `outputs(seed)`."""
-    perm = list(range(n))
-    for i, out in zip(range(n - 1, 0, -1), outputs(seed)):
+    return permute(list(range(n)), seed)
+
+
+def permute(items, seed: int):
+    """Shuffle the mutable sequence `items` in place as `permutation`
+    shuffles range(len(items)); returns it."""
+    for i, out in zip(range(len(items) - 1, 0, -1), outputs(seed)):
         j = out % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+        items[i], items[j] = items[j], items[i]
+    return items

@@ -421,6 +421,20 @@ def test_duplicate_column_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "shuffle-00").exists()
 
 
+@pytest.mark.parametrize("order", ["shuffled", "stored"])
+def test_header_only_data_exits_3_before_any_output(tmp_path, capsys, order):
+    empty = tmp_path / "d.csv"
+    empty.write_text("age,sex,y\n", encoding="utf-8")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=empty, out=tmp_path / "out"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file), "--order", order,
+                 "--shuffles", "1"]) == 3
+    assert capsys.readouterr().err == \
+        f"data error: {empty}: no data rows after the header\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_overrides_beat_config(tmp_path):
     data = write_dataset(tmp_path)
     cfg_file = tmp_path / "exp.cfg"
