@@ -57,18 +57,10 @@ def test_a_csv_run_reaches_data_through_the_wrapped_names(tmp_path,
     """bench/spans.py times a CSV run's load and shuffles by wrapping
     cli.load_csv and cli.shuffled; a run that reached its data another
     way would leave data.load_csv_s and data.shuffled_s at 0."""
-    calls = {}
-
-    def counting(name):
-        fn = getattr(cli, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
-
-    counting("load_csv")
-    counting("shuffled")
+    load = mock.Mock(wraps=cli.load_csv)
+    shuffle = mock.Mock(wraps=cli.shuffled)
+    monkeypatch.setattr(cli, "load_csv", load)
+    monkeypatch.setattr(cli, "shuffled", shuffle)
     data = tmp_path / "d.csv"
     data.write_text("age,sex,y\n31,F,good\n45,M,bad\n29,F,bad\n",
                     encoding="utf-8")
@@ -79,7 +71,7 @@ def test_a_csv_run_reaches_data_through_the_wrapped_names(tmp_path,
     assert cli.main(["run", "--config", str(cfg), "--dataset", str(data),
                      "--learners", "2", "--shuffles", "2",
                      "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"load_csv": 1, "shuffled": 2}
+    assert (load.call_count, shuffle.call_count) == (1, 2)
 
 
 def test_forked_export_matches_the_benchmark_golden_digest(tmp_path,
