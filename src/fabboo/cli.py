@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -32,11 +32,8 @@ EXIT_DATA = 3
 _AGGREGATED = ("bal_acc", "gmean", "recall", "kappa",
                "cum_sp", "cum_eqop", "cum_peq", "wall_s")
 
-_SWEEP_PARAMS = {
-    "learners": "learners", "n": "learners",
-    "lambda": "decay",
-    "window": "window", "m": "window",
-}
+_SWEEP_PARAMS = {"learners": "learners", "n": "learners", "lambda": "decay",
+                 "window": "window", "m": "window"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="experiment config file")
-        p.add_argument("--dataset", help="CSV dataset path (needs schema keys "
-                                         "from a config file)")
+        p.add_argument("--dataset", dest="csv_path",
+                       help="CSV dataset path (needs schema keys from a "
+                            "config file)")
         p.add_argument("--preset", dest="preset_name",
                        help="named synthetic stream")
         p.add_argument("--length", type=int, help="stream length override")
@@ -59,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         for _, key, field, conv, text in PARAMS:
             p.add_argument(f"--{key}", dest=field, type=conv, help=text,
                            metavar=key.upper())
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
 
     run_p = sub.add_parser("run", help="execute one experiment (all shuffles)")
     add_common(run_p)
@@ -82,27 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.dataset:
-        updates["source_kind"] = "csv"
-        updates["csv_path"] = args.dataset
-    if args.preset_name:
-        updates["source_kind"] = "preset"
-        updates["preset_name"] = args.preset_name
-    if args.length is not None:
-        updates["length"] = args.length
-    if args.order:
-        updates["order"] = args.order
-    if args.method:
-        updates["method"] = args.method
+    """`cfg` with the given run/sweep flags applied. Each flag's dest is the
+    field it sets; --dataset and --preset also set the source kind, and
+    --fairness is parsed into the notion."""
+    updates = {f.name: getattr(args, f.name) for f in fields(cfg)
+               if getattr(args, f.name, None) is not None}
+    for field, kind in (("csv_path", "csv"), ("preset_name", "preset")):
+        if getattr(args, field) is not None:
+            updates["source_kind"] = kind
     if args.fairness is not None:
         updates["notion"] = parse_notion(args.fairness)
-    for _, _, field, _, _ in PARAMS:
-        value = getattr(args, field)
-        if value is not None:
-            updates[field] = value
-    if args.out:
-        updates["out_dir"] = args.out
     return replace(cfg, **updates)
 
 
@@ -233,11 +220,9 @@ def main(argv=None) -> int:
             print((Path(cfg.out_dir) / "aggregate.txt").read_text(
                 encoding="utf-8"), end="")
             return EXIT_OK
-        if args.command == "sweep":
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
-            table = execute_sweep(cfg, args.param, values)
-            print(table, end="")
-            return EXIT_OK
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
+        print(execute_sweep(cfg, args.param, values), end="")
+        return EXIT_OK
     except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -247,7 +232,6 @@ def main(argv=None) -> int:
     except Exception as e:  # runtime failure
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_CONFIG
 
 
 def entry() -> None:

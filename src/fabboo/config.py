@@ -1,48 +1,34 @@
 """Experiment configuration: file format, validation and serialization.
 
-Configs are flat key/value text with section headers (INI syntax). The
-same keys can be overridden from the command line. Example:
+Configs are INI text: section headers, then `key = value` lines. Keys are
+case-insensitive; section names are not. The sections and their keys:
 
-    [source]
-    kind = csv
-    path = data/adult.csv
-    features = age:num, sex:cat(Female|Male)
-    protected = sex=Female
-    label = income:cat(>50K|<=50K)=>50K
-    order = shuffled
+    [source]  kind = csv | preset | generator, and that kind's keys
+    [method]  method, fairness, learners, gamma, lambda, window, epsilon,
+              smoothing, chunk
+    [run]     shuffles, seed, stride
+    [output]  dir
 
-    [method]
-    method = fabboo
-    fairness = sp
-    learners = 20
-    gamma = 0.1
-    lambda = 0.9
-    window = 2000
-    epsilon = 0.0001
-    smoothing = 1.0
-    chunk = 1000
+A `csv` source takes `path`, the schema (`features`, `protected`,
+`label`) and `order`; a `preset` source takes `preset` and an optional
+`length` override; a `generator` source takes an explicit Gaussian
+stream: `attributes`/`class_gap`/`noise` or `pos_means`/`neg_means`/
+`stds` lists, `ratio`/`bias` constants or `ratio_schedule`/
+`bias_schedule` point lists "t:value, t:value", `length`,
+`protected_share`, and `drifts` as "kind:start:duration:magnitude"
+entries. README.md shows each key's syntax, and
+`configs/adult_example.cfg` is a complete file.
 
-    [run]
-    shuffles = 10
-    seed = 1
-    stride = 100
-
-    [output]
-    dir = out
-
-Sources come in three kinds: `csv` (path + schema as above), `preset`
-(named synthetic stream, optional `length` override) and `generator`
-(explicit Gaussian stream spec: `attributes`/`class_gap` or explicit
-`pos_means`/`neg_means`/`stds` lists, `ratio`/`bias` constants or
-`ratio_schedule`/`bias_schedule` point lists "t:value, t:value", and
-`drifts` as "kind:start:duration:magnitude" entries).
+Each key is read, and taken out of its section, by `_value`. A key or
+section left over (misspelt, or foreign to the source kind) is a
+ConfigError naming it and the closest name the parser reads.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .boosting import CHUNK, EnsembleParams, method_params
 from .data import AttributeSpec, DatasetSchema, DataError
@@ -133,6 +119,8 @@ class ExperimentConfig:
             if self.length is not None:
                 raise ConfigError("length applies only to preset and "
                                   "generator sources")
+        elif self.order != "shuffled":
+            raise ConfigError("order applies only to csv sources")
         elif self.source_kind == "preset":
             if self.preset_name not in PRESET_NAMES:
                 raise ConfigError(f"unknown preset {self.preset_name!r}")
@@ -143,119 +131,153 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source kind {self.source_kind!r}")
 
 
+# ------------------------------------------------------------------- reading
+
+_NEEDED = object()   # the default of a key that must be given
+
+
+class _Unread(dict):
+    """The unread keys of a section, or sections of a config. `take` reads
+    one and records its name, the names a leftover is matched against."""
+
+    def __init__(self, items, what: str):
+        super().__init__(items)
+        self.what, self.taken = what, []    # what: e.g. "key of [method]"
+
+    def take(self, name: str) -> str | None:
+        self.taken.append(name)
+        return self.pop(name, None)
+
+    def check_read(self) -> None:
+        for name in self:
+            from difflib import get_close_matches   # on this error path only
+            close = get_close_matches(name, self.taken, 1)
+            hint = (f"did you mean {close[0]!r}?" if close
+                    else "expected one of: " + ", ".join(self.taken))
+            raise ConfigError(f"{name!r} is not a {self.what} ({hint})")
+
+
+def _value(section: _Unread, key: str, parse=str, default=None):
+    """Take `key` out of `section` and convert it with `parse`; `default`
+    if the section lacks it."""
+    text = section.take(key)
+    if text is None:
+        if default is _NEEDED:
+            raise ConfigError(f"missing {key!r}, a {section.what}")
+        return default
+    try:
+        return parse(text)
+    except (ValueError, DataError) as e:
+        # a builtin conversion's message adds nothing to the quoted text
+        detail = "" if type(e) is ValueError else f" ({e})"
+        raise ConfigError(f"bad value for {key!r}: {text!r}{detail}") from None
+
+
+def _listed(parse):
+    """A parser of a comma-separated list of what `parse` reads."""
+    return lambda text: tuple(parse(p.strip()) for p in text.split(",")
+                              if p.strip())
+
+
 # --------------------------------------------------------------- schema text
 
-def _parse_features(text: str) -> tuple[AttributeSpec, ...]:
-    attrs = []
-    for part in _split_list(text):
-        name, _, kind = part.partition(":")
-        name = name.strip()
-        kind = kind.strip()
-        if not name or not kind:
-            raise ConfigError(f"bad feature spec {part!r}")
-        if kind == "num":
-            attrs.append(AttributeSpec(name, "num"))
-        elif kind.startswith("cat(") and kind.endswith(")"):
-            cats = tuple(v.strip() for v in kind[4:-1].split("|") if v.strip())
-            attrs.append(AttributeSpec(name, "cat", cats))
-        else:
-            raise ConfigError(f"bad feature kind in {part!r}")
-    if not attrs:
-        raise ConfigError("empty feature list")
-    return tuple(attrs)
+def _categories(kind: str) -> tuple[str, ...] | None:
+    """The alphabet of a "cat(a|b|...)" kind, None for another kind."""
+    kind = kind.strip()
+    if kind.startswith("cat(") and kind.endswith(")"):
+        return tuple(v.strip() for v in kind[4:-1].split("|") if v.strip())
+    return None
 
 
-def _format_features(attrs) -> str:
-    parts = []
-    for a in attrs:
-        if a.kind == "num":
-            parts.append(f"{a.name}:num")
-        else:
-            parts.append(f"{a.name}:cat({'|'.join(a.categories)})")
-    return ", ".join(parts)
+def _parse_feature(part: str) -> AttributeSpec:
+    name, _, kind = (s.strip() for s in part.partition(":"))
+    cats = _categories(kind)
+    if not name or (cats is None and kind != "num"):
+        raise ConfigError(f"bad feature spec {part!r}")
+    return AttributeSpec(name, "num" if cats is None else "cat", cats or ())
 
 
-def _parse_schema(section) -> DatasetSchema:
+def _parse_label(spec: str) -> tuple[str, tuple[str, ...], str]:
+    """(name, alphabet, positive value) of "name:cat(a|b)=positive", split
+    at the '=' right after the alphabet's closing paren, so label tokens
+    containing '=' (e.g. "<=50K") survive."""
+    rparen = spec.rfind(")")
+    name, _, kind = spec[:rparen + 1].partition(":")
+    values = _categories(kind)
+    if values is None or spec[rparen + 1:rparen + 2] != "=":
+        raise ValueError(spec)
+    return name.strip(), values, spec[rparen + 2:].strip()
+
+
+def _parse_schema(src: _Unread) -> DatasetSchema:
+    features = _value(src, "features", _listed(_parse_feature), _NEEDED)
+    protected = _value(src, "protected",   # (attribute, value)
+                       lambda t: t.partition("=")[::2], _NEEDED)
+    label = _value(src, "label", _parse_label, _NEEDED)
     try:
-        features = _parse_features(section["features"])
-        prot_name, _, prot_value = section["protected"].partition("=")
-        label_spec = section["label"]
-    except KeyError as e:
-        raise ConfigError(f"csv source needs key {e.args[0]!r}")
-    # split at the '=' right after the alphabet's closing paren, so label
-    # tokens containing '=' (e.g. "<=50K") survive
-    rparen = label_spec.rfind(")")
-    if rparen < 0 or rparen + 1 >= len(label_spec) or label_spec[rparen + 1] != "=":
-        raise ConfigError(f"bad label spec {label_spec!r}")
-    head = label_spec[:rparen + 1]
-    positive = label_spec[rparen + 2:]
-    label_name, _, kind = head.partition(":")
-    if not (kind.strip().startswith("cat(") and kind.strip().endswith(")")):
-        raise ConfigError(f"bad label spec {label_spec!r}")
-    values = tuple(v.strip() for v in kind.strip()[4:-1].split("|") if v.strip())
-    try:
-        return DatasetSchema(
-            attributes=features,
-            protected_attribute=prot_name.strip(),
-            protected_value=prot_value.strip(),
-            label_name=label_name.strip(),
-            label_values=values,
-            positive_value=positive.strip(),
-        )
+        return DatasetSchema(features, *map(str.strip, protected), *label)
     except DataError as e:
         raise ConfigError(str(e))
 
 
-def _split_list(text: str) -> list[str]:
-    return [p.strip() for p in text.split(",") if p.strip()]
-
-
 # ------------------------------------------------------------ generator text
 
-def _parse_schedule(section, base: str) -> Schedule:
-    if f"{base}_schedule" in section:
-        points = []
-        for part in _split_list(section[f"{base}_schedule"]):
-            t, _, v = part.partition(":")
-            points.append((float(t), float(v)))
-        return Schedule(tuple(points))
-    if base in section:
-        return Schedule.constant(float(section[base]))
-    raise ConfigError(f"generator needs {base!r} or {base}_schedule")
+def _point(text: str) -> tuple[float, float]:
+    t, _, v = text.partition(":")
+    return float(t), float(v)
 
 
-def _format_schedule(s: Schedule) -> str:
-    return ", ".join(f"{t!r}:{v!r}" for t, v in s.points)
+def _schedule(text: str) -> Schedule:
+    return Schedule(_listed(_point)(text))
 
 
-def _parse_generator(section) -> GeneratorConfig:
-    if "pos_means" in section:
-        pos = tuple(float(v) for v in _split_list(section["pos_means"]))
-        neg = tuple(float(v) for v in _split_list(section["neg_means"]))
-        stds = tuple(float(v) for v in _split_list(section["stds"]))
-    else:
-        d = int(section.get("attributes", "6"))
-        gap = float(section.get("class_gap", "0.4"))
-        std = float(section.get("noise", "1.0"))
-        pos = (gap / 2.0,) * d
-        neg = (-gap / 2.0,) * d
-        stds = (std,) * d
-    drifts = []
-    for part in _split_list(section.get("drifts", "")):
-        bits = part.split(":")
-        if len(bits) != 4:
-            raise ConfigError(f"bad drift spec {part!r}")
-        drifts.append(DriftEvent(bits[0], int(bits[1]), int(bits[2]),
-                                 float(bits[3])))
+def _drift(text: str) -> DriftEvent:
+    kind, start, duration, magnitude = text.split(":")
+    return DriftEvent(kind, int(start), int(duration), float(magnitude))
+
+
+def _joined(entries) -> str:
+    """The text `_listed` reads: entries joined by ", ", the parts of a
+    tuple entry by ":" (a float's str is its repr)."""
+    return ", ".join(":".join(map(str, e)) if isinstance(e, tuple) else str(e)
+                     for e in entries)
+
+
+# (key, GeneratorConfig field, parse, format) of each generator key, in
+# config-file order; a format that gives None leaves its line out
+_GENERATOR_KEYS = (
+    ("pos_means", "pos_means", _listed(float), _joined),
+    ("neg_means", "neg_means", _listed(float), _joined),
+    ("stds", "stds", _listed(float), _joined),
+    ("ratio_schedule", "ratio", _schedule, lambda s: _joined(s.points)),
+    ("bias_schedule", "bias", _schedule, lambda s: _joined(s.points)),
+    ("length", "length", int, str),
+    ("protected_share", "protected_share", float, repr),
+    ("drifts", "drifts", _listed(_drift),
+     lambda drifts: _joined(map(astuple, drifts)) or None),
+)
+
+
+def _parse_generator(src: _Unread) -> GeneratorConfig:
+    for short, key in (("attributes", "pos_means"), ("class_gap", "pos_means"),
+                       ("noise", "stds"), ("ratio", "ratio_schedule"),
+                       ("bias", "bias_schedule")):   # shorthand, key it fills
+        if short in src and key in src:
+            raise ConfigError(f"give {short!r} or {key!r}, not both")
+    d = _value(src, "attributes", int, 6)
+    gap = _value(src, "class_gap", float, 0.4)
+    std = _value(src, "noise", float, 1.0)
+    defaults = {field: Schedule.constant(v) for field in ("ratio", "bias")
+                if (v := _value(src, field, float)) is not None}
+    defaults.update(length=50000, drifts=GeneratorConfig.drifts,
+                    protected_share=GeneratorConfig.protected_share)
+    if not src.keys() & {"pos_means", "neg_means", "stds"}:
+        defaults.update(pos_means=(gap / 2.0,) * d,
+                        neg_means=(-gap / 2.0,) * d, stds=(std,) * d)
+    fields = {field: _value(src, key, parse, defaults.get(field, _NEEDED))
+              for key, field, parse, _ in _GENERATOR_KEYS}
     try:
-        return GeneratorConfig(
-            pos_means=pos, neg_means=neg, stds=stds,
-            ratio=_parse_schedule(section, "ratio"),
-            bias=_parse_schedule(section, "bias"),
-            length=int(section.get("length", "50000")),
-            protected_share=float(section.get("protected_share", "0.4")),
-            drifts=tuple(drifts),
-        )
+        return GeneratorConfig(**fields)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -263,44 +285,40 @@ def _parse_generator(section) -> GeneratorConfig:
 # ------------------------------------------------------------------- parsing
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    # no "%" interpolation, and [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}")
-
+    config = _Unread({name: _Unread(cp[name], f"key of [{name}]")
+                      for name in cp.sections()}, "config section")
+    sections = {name: config.take(name) or _Unread({}, "")
+                for name in ("source", "method", "run", "output")}
+    src, method = sections["source"], sections["method"]
     cfg = ExperimentConfig()
-    updates: dict = {}
-    if cp.has_section("source"):
-        src = cp["source"]
-        kind = src.get("kind", "preset")
-        updates["source_kind"] = kind
-        if kind == "csv":
-            updates["csv_path"] = src.get("path")
-            updates["schema"] = _parse_schema(src)
-            updates["order"] = src.get("order", "shuffled")
-        elif kind == "preset":
-            updates["preset_name"] = src.get("preset")
-        elif kind == "generator":
-            updates["generator"] = _parse_generator(src)
-        if "length" in src and kind != "generator":
-            updates["length"] = int(src["length"])
-    if cp.has_section("method"):
-        m = cp["method"]
-        if "method" in m:
-            updates["method"] = m["method"]
-        if "fairness" in m:
-            updates["notion"] = parse_notion(m["fairness"])
-    for section, key, field, conv, _ in PARAMS:
-        if cp.has_option(section, key):
-            raw = cp[section][key]
-            try:
-                updates[field] = conv(raw)
-            except ValueError:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}")
-    if cp.has_section("output") and "dir" in cp["output"]:
-        updates["out_dir"] = cp["output"]["dir"]
-    return replace(cfg, **updates)
+    kind = _value(src, "kind", str, cfg.source_kind)
+    src.what = f"key of a {kind} [source]"
+    fields = {"source_kind": kind}
+    if kind == "csv":
+        fields.update(csv_path=_value(src, "path"), schema=_parse_schema(src),
+                      order=_value(src, "order", str, cfg.order))
+    elif kind == "preset":
+        fields.update(preset_name=_value(src, "preset"),
+                      length=_value(src, "length", int))
+    elif kind == "generator":
+        fields["generator"] = _parse_generator(src)
+    else:
+        raise ConfigError(f"unknown source kind {kind!r}")
+    fields.update(method=_value(method, "method", str, cfg.method),
+                  notion=_value(method, "fairness", parse_notion, cfg.notion))
+    for section, key, field, parse, _ in PARAMS:
+        fields[field] = _value(sections[section], key, parse,
+                               getattr(cfg, field))
+    fields["out_dir"] = _value(sections["output"], "dir", str, cfg.out_dir)
+    for unread in (config, *sections.values()):
+        unread.check_read()
+    return replace(cfg, **fields)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -322,33 +340,28 @@ def parse_notion(text: str) -> Notion | None:
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
-    out.write("[source]\n")
-    out.write(f"kind = {cfg.source_kind}\n")
+    out.write(f"[source]\nkind = {cfg.source_kind}\n")
     if cfg.source_kind == "csv":
         out.write(f"path = {cfg.csv_path}\n")
         s = cfg.schema
-        out.write(f"features = {_format_features(s.attributes)}\n")
+        out.write("features = " + ", ".join(
+            f"{a.name}:num" if a.kind == "num"
+            else f"{a.name}:cat({'|'.join(a.categories)})"
+            for a in s.attributes) + "\n")
         out.write(f"protected = {s.protected_attribute}={s.protected_value}\n")
         out.write(f"label = {s.label_name}:cat({'|'.join(s.label_values)})"
                   f"={s.positive_value}\n")
         out.write(f"order = {cfg.order}\n")
     elif cfg.source_kind == "preset":
         out.write(f"preset = {cfg.preset_name}\n")
+        if cfg.length is not None:
+            out.write(f"length = {cfg.length}\n")
     else:
         g = cfg.generator_config()
-        out.write(f"pos_means = {', '.join(repr(v) for v in g.pos_means)}\n")
-        out.write(f"neg_means = {', '.join(repr(v) for v in g.neg_means)}\n")
-        out.write(f"stds = {', '.join(repr(v) for v in g.stds)}\n")
-        out.write(f"ratio_schedule = {_format_schedule(g.ratio)}\n")
-        out.write(f"bias_schedule = {_format_schedule(g.bias)}\n")
-        out.write(f"length = {g.length}\n")
-        out.write(f"protected_share = {g.protected_share!r}\n")
-        if g.drifts:
-            out.write("drifts = " + ", ".join(
-                f"{d.kind}:{d.start}:{d.duration}:{d.magnitude!r}"
-                for d in g.drifts) + "\n")
-    if cfg.length is not None and cfg.source_kind == "preset":
-        out.write(f"length = {cfg.length}\n")
+        for key, field, _, format_ in _GENERATOR_KEYS:
+            text = format_(getattr(g, field))
+            if text is not None:
+                out.write(f"{key} = {text}\n")
     out.write("\n[method]\n")
     out.write(f"method = {cfg.method}\n")
     out.write(f"fairness = {cfg.notion.value if cfg.notion else 'none'}\n")

@@ -10,14 +10,19 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabboo import (BoostedEnsemble, EnsembleParams, EvalConfig, Notion,
                     method_params, parse_config_text, config_to_text,
                     run_prequential, write_trace)
 from fabboo import cli, parallel, pipeline
+from fabboo.boosting import METHODS
 from fabboo.cli import main
-from fabboo.config import ConfigError, ExperimentConfig, parse_config_file
-from fabboo.data import DataError
+from fabboo.config import (PARAMS, ConfigError, ExperimentConfig,
+                           parse_config_file)
+from fabboo.data import AttributeSpec, DatasetSchema, DataError
+from fabboo.generators import (PRESET_NAMES, DriftEvent, GeneratorConfig,
+                               Schedule)
 from fabboo.prequential import TRACE_HEADER, Summary
 
 from conftest import forks
@@ -274,6 +279,196 @@ def test_run_and_sweep_flags_are_pinned():
         ("--values", None, "comma-separated parameter values")]
 
 
+# ------------------------------------------------- what a config file holds
+
+PRESET_SOURCE = """\
+[source]
+kind = preset
+preset = ratio_fixed
+length = 20
+"""
+
+GENERATOR_SOURCE = """\
+[source]
+kind = generator
+length = 20
+"""
+
+GENERATOR_KEYS = ("kind, attributes, class_gap, noise, ratio, bias, "
+                  "pos_means, neg_means, stds, ratio_schedule, "
+                  "bias_schedule, length, protected_share, drifts")
+
+
+@pytest.mark.parametrize("text, message", [
+    (PRESET_SOURCE + "[method]\nlamda = 0.5\nlearners = 2\n",
+     "'lamda' is not a key of [method] (did you mean 'lambda'?)"),
+    (PRESET_SOURCE + "[runn]\nshuffles = 3\n",
+     "'runn' is not a config section (did you mean 'run'?)"),
+    (PRESET_SOURCE + "[Method]\nlearners = 3\n",
+     "'Method' is not a config section (did you mean 'method'?)"),
+    (PRESET_SOURCE + "[DEFAULT]\nlearners = 3\n",
+     "'DEFAULT' is not a config section "
+     "(expected one of: source, method, run, output)"),
+    (PRESET_SOURCE + "path = d.csv\nfeatures = a:num\n",
+     "'path' is not a key of a preset [source] "
+     "(expected one of: kind, preset, length)"),
+    (GENERATOR_SOURCE + "ratio = 0.4\nbias = 0.0\norder = stored\n",
+     f"'order' is not a key of a generator [source] "
+     f"(expected one of: {GENERATOR_KEYS})"),
+    (GENERATOR_SOURCE + "pos_means = 0.4, 0.4\nratio = 0.4\nbias = 0.0\n",
+     "missing 'neg_means', a key of a generator [source]"),
+    (GENERATOR_SOURCE + "pos_means = 0.4\nneg_means = -0.4\nratio = 0.4\n",
+     "missing 'stds', a key of a generator [source]"),
+    (GENERATOR_SOURCE + "ratio = 0.4\n",
+     "missing 'bias_schedule', a key of a generator [source]"),
+    (GENERATOR_SOURCE + "noise = 2\nstds = 1\nratio = 0.4\nbias = 0.0\n",
+     "give 'noise' or 'stds', not both"),
+    (GENERATOR_SOURCE.replace("20", "3x0") + "ratio = 0.4\nbias = 0.0\n",
+     "bad value for 'length': '3x0'"),
+    (GENERATOR_SOURCE + "ratio = 0.4\nbias = 0.0\ndrifts = sudden:x:0:1\n",
+     "bad value for 'drifts': 'sudden:x:0:1'"),
+    (GENERATOR_SOURCE + "ratio_schedule = 1:0.4, x:0.5\nbias = 0.0\n",
+     "bad value for 'ratio_schedule': '1:0.4, x:0.5'"),
+    (GENERATOR_SOURCE + "ratio = 0.4\nbias = 0.0\ndrifts = sideways:1:0:1\n",
+     "bad value for 'drifts': 'sideways:1:0:1' "
+     "(unknown drift kind 'sideways')"),
+], ids=["misspelt-key", "misspelt-section", "section-case", "default-section",
+        "csv-key-under-preset", "csv-key-under-generator",
+        "half-given-means", "means-without-stds", "no-bias",
+        "shorthand-and-key", "bad-length", "bad-drift-start",
+        "bad-schedule-point", "bad-drift-kind"])
+def test_bad_config_file_exits_2_naming_the_key(tmp_path, capsys, text,
+                                                message):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--learners", "2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_keys_are_case_insensitive():
+    cfg = parse_config_text(PRESET_SOURCE + "[method]\nLambda = 0.5\n"
+                            "LEARNERS = 3\n\n[run]\nSeed = 4\n")
+    assert (cfg.decay, cfg.learners, cfg.seed) == (0.5, 3, 4)
+
+
+def test_adult_example_config_parses_and_validates():
+    """The published settings (N=20, lambda=0.9, M=2000, epsilon=1e-4),
+    read without the CSV itself."""
+    cfg = parse_config_file(Path(__file__).parents[1] / "configs" /
+                            "adult_example.cfg")
+    cfg.validate()
+    assert (cfg.learners, cfg.decay, cfg.window, cfg.epsilon) == \
+        (20, 0.9, 2000, 1e-4)
+    assert (cfg.method, cfg.notion, cfg.shuffles) == ("fabboo", Notion.SP, 10)
+    assert len(cfg.schema.attributes) == 14
+    assert cfg.schema.positive_value == ">50K"
+
+
+def test_a_valid_run_imports_no_difflib(tmp_path):
+    """difflib only serves the error path; a run must not pay its import."""
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(PRESET_SOURCE.replace("20", "1") +
+                        "[method]\nlearners = 2\n[run]\nseed = 3\n"
+                        f"[output]\ndir = {tmp_path / 'out'}\n",
+                        encoding="utf-8")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\nfrom fabboo import cli\n"
+            f"rc = cli.main(['run', '--config', {str(cfg_file)!r}])\n"
+            "print(rc, 'difflib' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "aggregate.txt").exists()
+
+
+# ------------------------------------------------- config.cfg round trip
+
+TEXT = st.text(st.characters(min_codepoint=33, max_codepoint=126),
+               min_size=1, max_size=8)
+NAMES = st.text("abxyz09_-.", min_size=1, max_size=4)
+TOKENS = st.text("abxyz09_-.<=>", min_size=1, max_size=4)
+
+
+@st.composite
+def schemas(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    alphabets = [draw(st.none() | st.lists(TOKENS, min_size=1, max_size=3,
+                                           unique=True)) for _ in names]
+    protected = draw(st.integers(0, len(names) - 1))
+    alphabets[protected] = alphabets[protected] or ["A", "B"]
+    labels = draw(st.lists(TOKENS, min_size=2, max_size=3, unique=True))
+    return DatasetSchema(
+        tuple(AttributeSpec(n, "num") if a is None
+              else AttributeSpec(n, "cat", tuple(a))
+              for n, a in zip(names, alphabets)),
+        names[protected], draw(st.sampled_from(alphabets[protected])),
+        draw(NAMES), tuple(labels), draw(st.sampled_from(labels)))
+
+
+@st.composite
+def generators(draw):
+    """Feasible streams: a class ratio in [0.2, 0.8] and a bias of at most
+    0.1 keep both groups' positive rates inside [0, 1]."""
+    d = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 10_000))
+
+    def vector(values):
+        return tuple(draw(st.lists(values, min_size=d, max_size=d)))
+
+    def schedule(low, high):
+        ts = draw(st.lists(st.floats(1, length), min_size=1, max_size=3,
+                           unique=True))
+        return Schedule(tuple((t, draw(st.floats(low, high)))
+                              for t in sorted(ts)))
+
+    def drift():
+        kind = draw(st.sampled_from(["sudden", "gradual", "recurrent"]))
+        return DriftEvent(kind, draw(st.integers(1, length)),
+                          0 if kind == "sudden" else draw(st.integers(1, 99)),
+                          draw(st.floats(-2, 2)))
+
+    return GeneratorConfig(
+        vector(st.floats(-3, 3)), vector(st.floats(-3, 3)),
+        vector(st.floats(0.01, 3)), schedule(0.2, 0.8), schedule(-0.1, 0.1),
+        length, protected_share=draw(st.floats(0.05, 0.95)),
+        drifts=tuple(drift() for _ in range(draw(st.integers(0, 2)))))
+
+
+SOURCES = st.one_of(
+    st.fixed_dictionaries({
+        "source_kind": st.just("csv"), "csv_path": TEXT, "schema": schemas(),
+        "order": st.sampled_from(["shuffled", "stored"])}),
+    st.fixed_dictionaries({
+        "source_kind": st.just("preset"),
+        "preset_name": st.sampled_from(PRESET_NAMES),
+        "length": st.none() | st.integers(0, 10 ** 6)}),
+    # a generator's config.cfg bakes a length override into the stream
+    st.fixed_dictionaries({"source_kind": st.just("generator"),
+                           "generator": generators()}))
+
+NUMBERS = {int: st.integers(), float: st.floats(allow_nan=False)}
+
+RUN_SETTINGS = st.fixed_dictionaries({
+    "method": st.sampled_from(METHODS),
+    "notion": st.sampled_from([*Notion, None]),
+    "out_dir": TEXT,
+    **{field: NUMBERS[conv] for _, _, field, conv, _ in PARAMS}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(SOURCES, RUN_SETTINGS)
+def test_config_text_round_trips(source, run_settings):
+    cfg = ExperimentConfig(**source, **run_settings)
+    assert parse_config_text(config_to_text(cfg)) == cfg
+
+
 # ----------------------------------------------------------------- the CLI
 
 def write_dataset(tmp_path, rows=60):
@@ -334,6 +529,7 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--epsilon", "inf"], "epsilon"),
     (["--smoothing", "nan"], "smoothing"),
     (["--smoothing", "inf"], "smoothing"),
+    (["--preset", "ratio_fixed", "--order", "stored"], "order"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)
