@@ -14,12 +14,13 @@ this is exactly the plain smooth-boosting update.
 
 Classification thresholds the ensemble confidence (1 + mean margin) / 2 at
 0.5, except for protected instances when a fairness notion is active: those
-use the adjusted boundary theta, chosen from the confidences of recently
-rejected protected instances kept in a bounded FIFO window. Whenever the
-cumulative fairness value exceeds the tolerance against the protected
-group, theta is set to the n-th highest window confidence, n being the
-number of decisions that would need to flip to restore parity; otherwise
-theta rests at the neutral 0.5.
+use the adjusted boundary theta on their confidence in the notion's
+favourable prediction (see fairness.RULES). Theta is chosen from the
+confidences of protected instances recently denied that prediction, kept
+in a bounded FIFO window. Whenever the cumulative fairness value exceeds
+the tolerance against the protected group, theta is set to the n-th
+highest window confidence, n being the number of decisions that would
+need to flip to restore parity; otherwise theta rests at the neutral 0.5.
 
 Neither recurrence reads the prediction, theta or the ledger, so the chain
 can be cut after learner k: the margin sum and (q, w) of learners 1..k on
@@ -37,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .data import POSITIVE, NEGATIVE
-from .fairness import FairnessLedger, Notion
+from .fairness import RULES, FairnessLedger, Notion
 from .imbalance import ImbalanceMonitor
 from .tree import HoeffdingTree
 
@@ -145,8 +146,9 @@ class BoostedEnsemble:
         self.monitor = ImbalanceMonitor(params.decay)
         self.ledger = FairnessLedger(params.smoothing, params.chunk)
         self.window = BoundaryWindow(params.window)
+        self._rule = None if params.notion is None else RULES[params.notion]
         self._seq = 0
-        self._score = 0.5   # score of the instance last predicted
+        self._confidence = 0.5   # of the protected instance last predicted
         self.tail = self.learners
         self.head = NO_HEAD
         self.head_error = None
@@ -159,13 +161,13 @@ class BoostedEnsemble:
         return (1.0 + total / len(self.learners)) / 2.0
 
     def predict(self, features, group: bool) -> int:
-        s = self._score = self.score(features)
-        notion = self.params.notion
-        if group and notion is not None:
-            if notion is Notion.PEQ:
-                # the protected boundary gates the negative class here
-                return NEGATIVE if (1.0 - s) > self.theta else POSITIVE
-            return POSITIVE if s >= self.theta else NEGATIVE
+        s = self.score(features)
+        rule = self._rule
+        if group and rule is not None:
+            # theta gates the notion's favourable prediction; the other
+            # is its negation, as POSITIVE and NEGATIVE are 1 and -1
+            c = self._confidence = s if rule.favourable == POSITIVE else 1.0 - s
+            return rule.favourable if rule.passes(c, self.theta) else -rule.favourable
         return POSITIVE if s >= 0.5 else NEGATIVE
 
     # ----------------------------------------------------------------- train
@@ -206,7 +208,7 @@ class BoostedEnsemble:
 
         Prequential protocol: `learn` follows `predict` on the same
         instance, and `predicted` is what that call returned; the boundary
-        window reuses the score it computed."""
+        window reuses the confidence it computed."""
         self._seq += 1
         if self.params.notion is not None:
             self.ledger.record(group, label, predicted)
@@ -215,21 +217,19 @@ class BoostedEnsemble:
         self.train_instance(features, label, self.monitor.ocis())
 
     def _observe_and_adjust(self, group, label, predicted) -> None:
-        notion = self.params.notion
-        self.window.expire(self._seq)
-        if group:
-            s = self._score
-            if notion is Notion.PEQ:
-                if label == NEGATIVE and predicted == POSITIVE:
-                    self.window.push(1.0 - s, self._seq)
-            elif predicted == NEGATIVE and (notion is Notion.SP or label == POSITIVE):
-                self.window.push(s, self._seq)
-
-        value = self.ledger.value(notion)
+        rule = self._rule
+        # a protected instance that the notion's rates count (rule.label is
+        # None or its label), denied the favourable prediction; a push
+        # expires the window as well
+        if group and predicted != rule.favourable and rule.label in (None, label):
+            self.window.push(self._confidence, self._seq)
+        else:
+            self.window.expire(self._seq)
+        value = self.ledger.value(self.params.notion)
         theta = 0.5
         # value > 0 needs non-protected base events: the flips are defined
         if value > self.params.epsilon:
-            n = self.ledger.required_flips(notion)
+            n = self.ledger.required_flips(self.params.notion)
             if n > 0 and len(self.window) > 0:
                 theta = self.window.kth_highest(n)
         self.theta = theta
@@ -242,8 +242,15 @@ def margin_sum(learners, features, total: float) -> float:
     return total
 
 
-METHODS = ("fabboo", "osboost", "ofib", "cfbb", "imbalance_only")
-FAIRNESS_METHODS = ("fabboo", "ofib", "cfbb")   # those that need a notion
+# method: (imbalance weights, needs a notion, chunked ledger)
+_VARIANTS = {
+    "fabboo": (True, True, False),
+    "osboost": (False, False, False),
+    "ofib": (False, True, False),
+    "cfbb": (True, True, True),
+    "imbalance_only": (True, False, False),
+}
+METHODS = tuple(_VARIANTS)
 CHUNK = 1000   # default chunk size of the cfbb ledger
 
 
@@ -260,17 +267,18 @@ def method_params(method: str, notion: Notion | None, *, chunk: int = CHUNK,
     the method sets (imbalance_adjust, notion and chunk); an omitted one
     keeps its EnsembleParams default.
     """
-    if method not in METHODS:
+    if method not in _VARIANTS:
         raise ValueError(f"unknown method {method!r}")
-    if method in FAIRNESS_METHODS and notion is None:
+    adjust, needs_notion, chunked = _VARIANTS[method]
+    if needs_notion and notion is None:
         raise ValueError(f"method {method!r} requires a fairness notion")
-    if method not in FAIRNESS_METHODS and notion is not None:
+    if not needs_notion and notion is not None:
         raise ValueError(f"method {method!r} does not take a fairness notion")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     return EnsembleParams(
-        imbalance_adjust=method in ("fabboo", "cfbb", "imbalance_only"),
+        imbalance_adjust=adjust,
         notion=notion,
-        chunk=chunk if method == "cfbb" else None,
+        chunk=chunk if chunked else None,
         **params,
     )

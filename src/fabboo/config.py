@@ -289,6 +289,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
+    except configparser.ParsingError as e:
+        # configparser's message spans lines; a line before any section
+        # header is `lineno`, other unparsable lines are in `errors`
+        lineno = getattr(e, "lineno", None) or e.errors[0][0]
+        raise ConfigError(f"malformed config: line {lineno} is not a [section]"
+                          f" header, a comment or 'key = value' under a header")
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}")
     config = _Unread({name: _Unread(cp[name], f"key of [{name}]")

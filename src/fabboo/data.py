@@ -196,14 +196,14 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                 elif token in codes:
                     values.append(codes[token])
                 elif a.name == schema.protected_attribute:
-                    raise DataError(f"unmapped protected value at row {rownum}")
+                    raise DataError(f"{path}: unmapped protected value at row {rownum}")
                 else:
                     raise DataError(
                         f"{path}: value {token!r} outside alphabet at row {rownum}, "
                         f"column {a.name!r}")
             label_token = raw[label_at].strip()
             if label_token not in schema.label_values:
-                raise DataError(f"unmapped label value at row {rownum}")
+                raise DataError(f"{path}: unmapped label value at row {rownum}")
             labels.append(POSITIVE if label_token == schema.positive_value
                           else NEGATIVE)
     _, _, prot_codes, codes = parsers[schema.protected_index]

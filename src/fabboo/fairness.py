@@ -13,6 +13,9 @@ denominator:
     equal opportunity    true-positive-rate difference
     predictive equality  true-negative-rate difference
 
+`RULES` defines each notion in one row, a `NotionRule`: the ledger reads
+its counts, the ensemble (boosting.py) the rest.
+
 `required_flips` inverts each metric for the number of protected decisions
 that would have to flip to restore parity right now. It uses the raw
 (unsmoothed) counts and exact integer arithmetic:
@@ -29,9 +32,11 @@ the metrics reflect only the current chunk (short-term monitoring).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
+from operator import attrgetter, ge, gt
 
-from .data import POSITIVE
+from .data import NEGATIVE, POSITIVE
 
 
 class Notion(Enum):
@@ -54,6 +59,21 @@ class GroupCounts:
     def __init__(self):
         self.seen = self.pos = self.neg = 0
         self.pred_pos = self.tp = self.tn = 0
+
+
+# label: the true label the rates condition on, None for every arrival;
+# favourable: the prediction they count; passes(confidence, theta): the
+# test of a protected confidence in the favourable prediction against
+# theta; counts(group): that group's (favourable, base) counts
+NotionRule = namedtuple("NotionRule", "label favourable passes counts")
+
+# PEQ's confidence must lie strictly above theta, so that at the neutral
+# 0.5 every notion decides a protected instance as the plain s >= 0.5 does
+RULES = {
+    Notion.SP: NotionRule(None, POSITIVE, ge, attrgetter("pred_pos", "seen")),
+    Notion.EQOP: NotionRule(POSITIVE, POSITIVE, ge, attrgetter("tp", "pos")),
+    Notion.PEQ: NotionRule(NEGATIVE, NEGATIVE, gt, attrgetter("tn", "neg")),
+}
 
 
 class FairnessLedger:
@@ -93,12 +113,8 @@ class FairnessLedger:
 
     def _rates(self, notion: Notion) -> tuple[int, int, int, int]:
         """(favorable_zbar, base_zbar, favorable_z, base_z) raw counts."""
-        o, z = self.o, self.z
-        if notion is Notion.SP:
-            return o.pred_pos, o.seen, z.pred_pos, z.seen
-        if notion is Notion.EQOP:
-            return o.tp, o.pos, z.tp, z.pos
-        return o.tn, o.neg, z.tn, z.neg
+        counts = RULES[notion].counts
+        return counts(self.o) + counts(self.z)
 
     def value(self, notion: Notion) -> float:
         """Smoothed cumulative rate difference, non-protected minus protected.

@@ -65,7 +65,7 @@ class TraceRow(NamedTuple):
     kappa: float
 
 
-TRACE_HEADER = "t,pred,label,group,ocis,cum_metric,theta,bal_acc,gmean,recall,kappa"
+TRACE_HEADER = ",".join(TraceRow._fields)
 _ROW = "{},{},{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
 
 

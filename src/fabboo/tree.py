@@ -235,38 +235,35 @@ class HoeffdingTree:
             return
         total = wp + wn
         h0 = _entropy2(wp, wn)
-        best_gain = 0.0
-        second_gain = 0.0
-        best_attr = -1
-        best_threshold = 0.0
-        best_cats = None   # value tallies of the best attribute if categorical
-
+        # (gain, attribute, threshold if numeric, value tallies if
+        # categorical) of each attribute, the numeric ones first
+        candidates = []
         for st, i in zip(zip(*leaf.num_stats), self.numeric_idx):
             g, thr = self._best_numeric_split(st, wp, wn, total, h0)
-            if g > best_gain:
-                second_gain = best_gain
-                best_gain, best_attr, best_threshold = g, i, thr
-            elif g > second_gain:
-                second_gain = g
+            candidates.append((g, i, thr, None))
         for d, i in zip(leaf.cat_stats, self.cat_idx):
-            g = self._categorical_gain(d, total, h0)
-            if g > best_gain:
+            candidates.append((self._categorical_gain(d, total, h0), i, None, d))
+        best = None
+        best_gain = second_gain = 0.0
+        for candidate in candidates:
+            if candidate[0] > best_gain:
                 second_gain = best_gain
-                best_gain, best_attr, best_cats = g, i, d
-            elif g > second_gain:
-                second_gain = g
+                best_gain = candidate[0]
+                best = candidate
+            elif candidate[0] > second_gain:
+                second_gain = candidate[0]
 
-        if best_attr < 0 or best_gain <= 1e-12:
+        if best_gain <= 1e-12:   # best is None when no gain is positive
             return
         bound = math.sqrt(self._ln_inv_delta / (2.0 * total))
         if best_gain - second_gain > bound or bound < self.params.tie_threshold:
-            leaf.split_attr = best_attr
-            if best_cats is None:
-                leaf.threshold = best_threshold
+            _, leaf.split_attr, threshold, cats = best
+            if cats is None:
+                leaf.threshold = threshold
                 leaf.children = [self._new_leaf(), self._new_leaf()]
             else:
                 leaf.threshold = None
-                leaf.cat_children = {v: self._new_leaf() for v in best_cats}
+                leaf.cat_children = {v: self._new_leaf() for v in cats}
             leaf.num_stats = None
             leaf.cat_stats = None
 
@@ -337,18 +334,12 @@ class HoeffdingTree:
                + max(alt_err * (1.0 - alt_err), 0.0025)) * unit
         needed = max(margin, self.params.warn_sigmas * math.sqrt(var))
         if main_err - alt_err >= needed:
-            # promote: the alternate's content takes the node's place
-            nd.split_attr = alt.split_attr
-            nd.threshold = alt.threshold
-            nd.children = alt.children
-            nd.cat_children = alt.cat_children
-            nd.wp, nd.wn = alt.wp, alt.wn
-            nd.num_stats = alt.num_stats
-            nd.cat_stats = alt.cat_stats
-            nd.weight_since = alt.weight_since
-            nd.err, nd.warm, nd.seen_w = alt.err, alt.warm, alt.seen_w
+            # promote: the alternate's content takes the node's place, with
+            # no best error level seen yet; alternates train without
+            # alternates of their own, so nd.alt becomes None
+            for slot in _Node.__slots__:
+                setattr(nd, slot, getattr(alt, slot))
             nd.err_min = nd.warn_at = math.inf
-            nd.alt = None
             self.replacements += 1
             return True
         if alt_err - main_err >= margin \

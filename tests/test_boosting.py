@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fabboo import (BoostedEnsemble, BoundaryWindow, EnsembleParams, Notion,
                     method_params)
+from fabboo.boosting import METHODS
 from fabboo.data import POSITIVE, NEGATIVE
 
 KINDS = ("num",)
@@ -303,3 +304,18 @@ def test_method_flag_combinations():
         method_params("fabboo", None)
     with pytest.raises(ValueError):
         method_params("nope", None)
+    # README's table of method variants, row by row: imbalance weights,
+    # fairness boundary (a notion) and the ledger's chunk (default 1000)
+    table = {
+        "osboost": (False, None, None),
+        "imbalance_only": (True, None, None),
+        "ofib": (False, Notion.PEQ, None),
+        "cfbb": (True, Notion.PEQ, 1000),
+        "fabboo": (True, Notion.PEQ, None),
+    }
+    assert sorted(METHODS) == sorted(table)
+    for method, (adjust, notion, chunk) in table.items():
+        params = method_params(method, notion)
+        assert params.imbalance_adjust is adjust
+        assert params.notion is notion
+        assert params.chunk == chunk

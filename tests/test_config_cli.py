@@ -298,6 +298,16 @@ GENERATOR_KEYS = ("kind, attributes, class_gap, noise, ratio, bias, "
                   "pos_means, neg_means, stds, ratio_schedule, "
                   "bias_schedule, length, protected_share, drifts")
 
+CSV_SOURCE = """\
+[source]
+kind = csv
+path = d.csv
+"""
+CSV_FEATURES = "features = a:num, s:cat(F|M)\n"
+CSV_PROTECTED = "protected = s=F\n"
+CSV_LABEL = "label = y:cat(good|bad)=good\n"
+GENERATOR_RATIO_BIAS = "ratio = 0.4\nbias = 0.0\n"
+
 
 @pytest.mark.parametrize("text, message", [
     (PRESET_SOURCE + "[method]\nlamda = 0.5\nlearners = 2\n",
@@ -332,11 +342,62 @@ GENERATOR_KEYS = ("kind, attributes, class_gap, noise, ratio, bias, "
     (GENERATOR_SOURCE + "ratio = 0.4\nbias = 0.0\ndrifts = sideways:1:0:1\n",
      "bad value for 'drifts': 'sideways:1:0:1' "
      "(unknown drift kind 'sideways')"),
+    ("[]\n", "malformed config: line 1 is not a [section] header, "
+     "a comment or 'key = value' under a header"),
+    ("[source]\nkind preset\n", "malformed config: line 2 is not a "
+     "[section] header, a comment or 'key = value' under a header"),
+    (CSV_SOURCE + CSV_FEATURES + CSV_PROTECTED + CSV_LABEL
+     + "order = random\n", "unknown order 'random'"),
+    (PRESET_SOURCE + "[method]\nfairness = spp\n",
+     "bad value for 'fairness': 'spp' (unknown fairness notion 'spp')"),
+    (CSV_SOURCE + "features = a:int\n" + CSV_PROTECTED + CSV_LABEL,
+     "bad value for 'features': 'a:int' (bad feature spec 'a:int')"),
+    (CSV_SOURCE + "features = s:cat(F|M), s:num\n" + CSV_PROTECTED
+     + CSV_LABEL, "duplicate attribute names in schema"),
+    (CSV_SOURCE + CSV_FEATURES + "protected = b=F\n" + CSV_LABEL,
+     "protected attribute 'b' not declared"),
+    (CSV_SOURCE + CSV_FEATURES + "protected = a=1\n" + CSV_LABEL,
+     "protected attribute must be categorical"),
+    (CSV_SOURCE + CSV_FEATURES + "protected = s=X\n" + CSV_LABEL,
+     "protected value 'X' not in alphabet of 's'"),
+    (CSV_SOURCE + CSV_FEATURES + CSV_PROTECTED
+     + "label = y:cat(good|bad)=ok\n",
+     "positive label 'ok' not in label alphabet"),
+    (CSV_SOURCE + CSV_FEATURES + CSV_PROTECTED + "label = y:cat(good)=good\n",
+     "label alphabet needs at least two values"),
+    (GENERATOR_SOURCE + GENERATOR_RATIO_BIAS
+     + "pos_means = 0.4, 0.4\nneg_means = -0.4, -0.4\nstds = 1\n",
+     "per-class mean and std vectors must share length"),
+    (GENERATOR_SOURCE + GENERATOR_RATIO_BIAS
+     + "pos_means = 0.4\nneg_means = -0.4\nstds = 0\n",
+     "stds must be positive"),
+    (GENERATOR_SOURCE.replace("20", "-1") + GENERATOR_RATIO_BIAS,
+     "length must be >= 0"),
+    (GENERATOR_SOURCE + GENERATOR_RATIO_BIAS + "protected_share = 1\n",
+     "protected_share must be in (0, 1)"),
+    (GENERATOR_SOURCE + GENERATOR_RATIO_BIAS + "drifts = sudden:30:0:1\n",
+     "drift start outside the stream"),
+    (GENERATOR_SOURCE + GENERATOR_RATIO_BIAS + "drifts = gradual:10:0:1\n",
+     "bad value for 'drifts': 'gradual:10:0:1' "
+     "(gradual drift needs a positive duration)"),
+    (GENERATOR_SOURCE + "ratio_schedule =\nbias = 0.0\n",
+     "bad value for 'ratio_schedule': '' "
+     "(schedule needs at least one control point)"),
+    (GENERATOR_SOURCE + "ratio = 1.5\nbias = 0.0\n",
+     "class ratio 1.5 outside [0,1] at t=1"),
 ], ids=["misspelt-key", "misspelt-section", "section-case", "default-section",
         "csv-key-under-preset", "csv-key-under-generator",
         "half-given-means", "means-without-stds", "no-bias",
         "shorthand-and-key", "bad-length", "bad-drift-start",
-        "bad-schedule-point", "bad-drift-kind"])
+        "bad-schedule-point", "bad-drift-kind",
+        "no-section-header", "line-without-equals", "unknown-order",
+        "unknown-notion", "bad-feature-kind", "duplicate-attribute",
+        "undeclared-protected", "numeric-protected",
+        "protected-value-outside-alphabet", "positive-label-outside-alphabet",
+        "one-value-label-alphabet", "means-and-stds-lengths",
+        "non-positive-std", "negative-length", "protected-share-one",
+        "drift-past-length", "gradual-drift-without-duration",
+        "empty-ratio-schedule", "ratio-above-one"])
 def test_bad_config_file_exits_2_naming_the_key(tmp_path, capsys, text,
                                                 message):
     cfg_file = tmp_path / "exp.cfg"
@@ -530,6 +591,7 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--smoothing", "nan"], "smoothing"),
     (["--smoothing", "inf"], "smoothing"),
     (["--preset", "ratio_fixed", "--order", "stored"], "order"),
+    (["--preset", "nope"], "unknown preset 'nope'"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)
@@ -582,7 +644,12 @@ def test_malformed_data_exits_3(tmp_path):
      "byte e9 on line 2002 is not UTF-8"),
     (b"age,sex,y\n31,F,good\n" + b"4" * 200_000 + b",M,bad\n",
      "field larger than field limit (131072) at line 3"),
-], ids=["latin1_byte", "late_latin1_byte", "huge_field"])
+    (b"age,sex,y\n31,X,good\n", "unmapped protected value at row 1"),
+    (b"age,sex,y\n31,F,fair\n", "unmapped label value at row 1"),
+    (b"age,sex,y\n31,F,good\n45,M\n", "wrong field count at row 2"),
+    (b"", "empty file (no header row)"),
+], ids=["latin1_byte", "late_latin1_byte", "huge_field",
+        "unmapped_protected", "unmapped_label", "short_row", "empty_file"])
 def test_unreadable_data_exits_3(tmp_path, capsys, data, message):
     bad = tmp_path / "d.csv"
     bad.write_bytes(data)

@@ -280,7 +280,9 @@ def closed_form_warn_at(em, p):
 def check_stream(tree, stream):
     """Train on `stream`; after every step the returned margin must be
     predict_margin(x) bit for bit, also on an unseen categorical value,
-    and every node's warn_at must be the closed form of its err_min."""
+    every node's warn_at must be the closed form of its err_min, and no
+    node of an alternate's subtree may have an alternate (a promotion
+    copies the alternate's, None, into the node it replaces)."""
     for x, y, w in stream:
         h = tree.train_weighted(x, y, w)
         assert h == tree.predict_margin(x)
@@ -288,6 +290,8 @@ def check_stream(tree, stream):
         assert tree.train_weighted(novel, y, 0.0) == tree.predict_margin(novel)
         for nd in all_nodes(tree.root):
             assert nd.warn_at == closed_form_warn_at(nd.err_min, tree.params)
+            if nd.alt is not None:
+                assert all(n.alt is None for n in all_nodes(nd.alt))
 
 
 @settings(max_examples=25, deadline=None)
