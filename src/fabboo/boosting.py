@@ -188,18 +188,16 @@ class BoostedEnsemble:
         gamma = p.gamma
         drift = gamma / (2.0 + gamma)
         base = 1.0 - gamma
-        adjust = p.imbalance_adjust
-        if adjust:
-            pos_div = max(1.0 + ocis, _DIVISOR_FLOOR)
-            neg_div = max(1.0 - ocis, _DIVISOR_FLOOR)
+        # the instance's class divisor; dividing by 1.0 leaves w as it is
+        div = (max(1.0 + ocis if label == POSITIVE else 1.0 - ocis,
+                   _DIVISOR_FLOOR) if p.imbalance_adjust else 1.0)
         for learner in learners:
             h = learner.train_weighted(features, label, w)
             q += label * h - drift
             w = base ** (q * 0.5)
             if w > 1.0:
                 w = 1.0
-            if adjust:
-                w = w / pos_div if label == POSITIVE else w / neg_div
+            w /= div
         return q, w
 
     def learn(self, features, group: bool, label: int, predicted: int) -> None:

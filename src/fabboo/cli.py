@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         print(execute_sweep(cfg, args.param, values), end="")
         return EXIT_OK
-    except (DataError, FileNotFoundError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:   # ConfigError included

@@ -31,7 +31,7 @@ import io
 from dataclasses import astuple, dataclass, replace
 
 from .boosting import CHUNK, EnsembleParams, method_params
-from .data import AttributeSpec, DatasetSchema, DataError
+from .data import AttributeSpec, DatasetSchema, DataError, not_utf8
 from .fairness import Notion
 from .generators import (DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule,
                          preset, with_overrides)
@@ -295,6 +295,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         lineno = getattr(e, "lineno", None) or e.errors[0][0]
         raise ConfigError(f"malformed config: line {lineno} is not a [section]"
                           f" header, a comment or 'key = value' under a header")
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"malformed config: line {e.lineno} repeats key "
+                          f"{e.option!r} of [{e.section}]")
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"malformed config: line {e.lineno} repeats "
+                          f"section [{e.section}]")
     except configparser.Error as e:
         raise ConfigError(f"malformed config: {e}")
     config = _Unread({name: _Unread(cp[name], f"key of [{name}]")
@@ -328,8 +334,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:   # missing, a directory, not readable
+        raise ConfigError(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {not_utf8(path, e)}") from None
+    return parse_config_text(text)
 
 
 def parse_notion(text: str) -> Notion | None:

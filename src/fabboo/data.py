@@ -144,7 +144,11 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     rows from 1.
     """
     from array import array   # a run without a CSV loads no array module
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as e:   # missing, a directory, not readable
+        raise DataError(f"{path}: {e.strerror}") from None
+    with fh:
         reader = _rows(path, csv.reader(fh))
         try:
             header = [h.strip() for h in next(reader)]
@@ -218,18 +222,24 @@ def _rows(path, reader):
     is raised as a DataError that names its line."""
     try:
         yield from reader
-    except UnicodeDecodeError:   # decode the file again, for the byte's offset
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = raw.count(b"\n", 0, e.start) + 1
-            raise DataError(f"{path}: byte {raw[e.start:e.end].hex()} on line "
-                            f"{line} is not UTF-8") from None
-        raise
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {not_utf8(path, e)}") from None
     except csv.Error as e:
         raise DataError(f"{path}: {e} at line {reader.line_num}") from None
+
+
+def not_utf8(path, error: UnicodeDecodeError) -> str:
+    """Which byte of file `path` is not UTF-8, and on which line, after a
+    text-mode read of it raised `error`: that read decodes in chunks, so
+    the file is decoded again for the byte's offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        return f"byte {raw[e.start:e.end].hex()} on line {line} is not UTF-8"
+    return str(error)   # the file changed since
 
 
 def save_csv(path, schema: DatasetSchema, instances: Iterable[Instance]) -> None:

@@ -213,8 +213,9 @@ def _gauss_config(gaps, n: int, ratio: Schedule, bias: Schedule,
     )
 
 
-def _fluctuating_bias(n: int, low: float = 0.1, high: float = 0.4,
-                      cycles: int = 4) -> Schedule:
+def _fluctuating_bias(n: int) -> Schedule:
+    """Bias moving between 0.1 and 0.4 over four cycles of the stream."""
+    low, high, cycles = 0.1, 0.4, 4
     points = [(0.0, low)]
     seg = n / (2 * cycles)
     for i in range(1, 2 * cycles + 1):
@@ -222,10 +223,44 @@ def _fluctuating_bias(n: int, low: float = 0.1, high: float = 0.4,
     return Schedule(tuple(points))
 
 
-PRESET_NAMES = (
-    "paper_synth", "ratio_fixed", "ratio_increasing", "ratio_decreasing",
-    "ratio_fluctuating", "drift_sudden", "drift_gradual", "drift_recurrent",
-)
+_PAPER_N, _DESK_N = 150_000, 50_000
+
+# name: builder, called only when the preset is asked for
+_PRESETS = {
+    # attributes of graded strength: one dominant, a tail of weak ones
+    "paper_synth": lambda: _gauss_config(
+        (1.5, 0.6, 0.4, 0.3, 0.2, 0.1), _PAPER_N,
+        Schedule.constant(1.0 / 4.13), Schedule.constant(0.25),
+        (DriftEvent("sudden", int(frac * _PAPER_N), 0, mag)
+         for frac, mag in zip((0.15, 0.30, 0.45, 0.60, 0.75),
+                              (0.2, -0.2, 0.2, -0.2, 0.2)))),
+    "ratio_fixed": lambda: _gauss_config(
+        (0.4,) * 6, _DESK_N, Schedule.constant(0.25), Schedule.constant(0.2)),
+    "ratio_increasing": lambda: _gauss_config(
+        (0.4,) * 6, _DESK_N, Schedule(((1.0, 0.10), (_DESK_N, 0.50))),
+        Schedule.constant(0.15)),
+    "ratio_decreasing": lambda: _gauss_config(
+        (0.4,) * 6, _DESK_N, Schedule(((1.0, 0.50), (_DESK_N, 0.10))),
+        Schedule.constant(0.15)),
+    "ratio_fluctuating": lambda: _gauss_config(
+        (0.4,) * 6, _DESK_N,
+        Schedule(((1.0, 0.25), (_DESK_N / 2, 0.70), (_DESK_N, 0.25))),
+        Schedule.constant(0.2)),
+    # two informative attributes plus noise: leaves are close to pure
+    # when the swap hits, which is what makes frozen trees stay wrong
+    "drift_sudden": lambda: _gauss_config(
+        (2.2, 1.2, 0.0, 0.0, 0.0, 0.0), _DESK_N, Schedule.constant(0.5),
+        _fluctuating_bias(_DESK_N), (DriftEvent("sudden", 25_000, 0, 1.0),)),
+    "drift_gradual": lambda: _gauss_config(
+        (0.8,) * 6, _DESK_N, Schedule.constant(0.5),
+        _fluctuating_bias(_DESK_N),
+        (DriftEvent("gradual", 10_000, 25_000, 1.0),)),
+    "drift_recurrent": lambda: _gauss_config(
+        (0.8,) * 6, _DESK_N, Schedule.constant(0.5),
+        _fluctuating_bias(_DESK_N),
+        (DriftEvent("recurrent", 10_000, 30_000, 1.0),)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> GeneratorConfig:
@@ -239,46 +274,9 @@ def preset(name: str) -> GeneratorConfig:
     presets are 50k-instance desk-scale streams for the ratio and drift
     studies; the drift presets fluctuate the encoded bias over time.
     """
-    if name == "paper_synth":
-        n = 150_000
-        drifts = tuple(
-            DriftEvent("sudden", int(frac * n), 0, mag)
-            for frac, mag in zip((0.15, 0.30, 0.45, 0.60, 0.75),
-                                 (0.2, -0.2, 0.2, -0.2, 0.2)))
-        # attributes of graded strength: one dominant, a tail of weak ones
-        return _gauss_config((1.5, 0.6, 0.4, 0.3, 0.2, 0.1), n,
-                             Schedule.constant(1.0 / 4.13),
-                             Schedule.constant(0.25), drifts)
-    n = 50_000
-    if name == "ratio_fixed":
-        return _gauss_config((0.4,) * 6, n, Schedule.constant(0.25),
-                             Schedule.constant(0.2))
-    if name == "ratio_increasing":
-        return _gauss_config((0.4,) * 6, n, Schedule(((1.0, 0.10), (n, 0.50))),
-                             Schedule.constant(0.15))
-    if name == "ratio_decreasing":
-        return _gauss_config((0.4,) * 6, n, Schedule(((1.0, 0.50), (n, 0.10))),
-                             Schedule.constant(0.15))
-    if name == "ratio_fluctuating":
-        return _gauss_config((0.4,) * 6, n,
-                             Schedule(((1.0, 0.25), (n / 2, 0.70), (n, 0.25))),
-                             Schedule.constant(0.2))
-    if name == "drift_sudden":
-        # two informative attributes plus noise: leaves are close to pure
-        # when the swap hits, which is what makes frozen trees stay wrong
-        drift = DriftEvent("sudden", 25_000, 0, 1.0)
-        return _gauss_config((2.2, 1.2, 0.0, 0.0, 0.0, 0.0), n,
-                             Schedule.constant(0.5), _fluctuating_bias(n),
-                             (drift,))
-    if name == "drift_gradual":
-        drift = DriftEvent("gradual", 10_000, 25_000, 1.0)
-        return _gauss_config((0.8,) * 6, n, Schedule.constant(0.5),
-                             _fluctuating_bias(n), (drift,))
-    if name == "drift_recurrent":
-        drift = DriftEvent("recurrent", 10_000, 30_000, 1.0)
-        return _gauss_config((0.8,) * 6, n, Schedule.constant(0.5),
-                             _fluctuating_bias(n), (drift,))
-    raise GeneratorError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise GeneratorError(f"unknown preset {name!r}")
+    return _PRESETS[name]()
 
 
 def with_overrides(config: GeneratorConfig, *, length: int | None = None,

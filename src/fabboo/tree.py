@@ -268,16 +268,17 @@ class HoeffdingTree:
             leaf.cat_stats = None
 
     def _best_numeric_split(self, st, wp, wn, total, h0):
+        # wp and wn are both positive: _attempt_split returns before
+        # calling this otherwise
         mp, m2p, mn, m2n = st
         mean = (wp * mp + wn * mn) / total
-        ex2 = (wp * (m2p / wp + mp * mp) if wp > 0.0 else 0.0) + \
-              (wn * (m2n / wn + mn * mn) if wn > 0.0 else 0.0)
+        ex2 = wp * (m2p / wp + mp * mp) + wn * (m2n / wn + mn * mn)
         var = ex2 / total - mean * mean
         if var <= 0.0:
             return 0.0, 0.0
         sd = math.sqrt(var)
-        sdp = math.sqrt(m2p / wp) if wp > 0.0 else 0.0
-        sdn = math.sqrt(m2n / wn) if wn > 0.0 else 0.0
+        sdp = math.sqrt(m2p / wp)
+        sdn = math.sqrt(m2n / wn)
         best_gain = 0.0
         best_thr = 0.0
         for z in self._quantile_z:

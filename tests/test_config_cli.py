@@ -385,6 +385,12 @@ GENERATOR_RATIO_BIAS = "ratio = 0.4\nbias = 0.0\n"
      "(schedule needs at least one control point)"),
     (GENERATOR_SOURCE + "ratio = 1.5\nbias = 0.0\n",
      "class ratio 1.5 outside [0,1] at t=1"),
+    (PRESET_SOURCE + "kind = preset\n",
+     "malformed config: line 5 repeats key 'kind' of [source]"),
+    (PRESET_SOURCE + "[source]\nkind = preset\n",
+     "malformed config: line 5 repeats section [source]"),
+    ("[source]\nKind = preset\nkind = preset\n",
+     "malformed config: line 3 repeats key 'kind' of [source]"),
 ], ids=["misspelt-key", "misspelt-section", "section-case", "default-section",
         "csv-key-under-preset", "csv-key-under-generator",
         "half-given-means", "means-without-stds", "no-bias",
@@ -397,7 +403,8 @@ GENERATOR_RATIO_BIAS = "ratio = 0.4\nbias = 0.0\n"
         "one-value-label-alphabet", "means-and-stds-lengths",
         "non-positive-std", "negative-length", "protected-share-one",
         "drift-past-length", "gradual-drift-without-duration",
-        "empty-ratio-schedule", "ratio-above-one"])
+        "empty-ratio-schedule", "ratio-above-one", "repeated-key",
+        "repeated-section", "repeated-key-in-other-case"])
 def test_bad_config_file_exits_2_naming_the_key(tmp_path, capsys, text,
                                                 message):
     cfg_file = tmp_path / "exp.cfg"
@@ -625,6 +632,33 @@ def test_run_missing_file_exits_3(tmp_path):
                                           out=tmp_path / "out"),
                         encoding="utf-8")
     assert main(["run", "--config", str(cfg_file)]) == 3
+
+
+@pytest.mark.parametrize("option, name, kind, message", [
+    ("--dataset", "absent.csv", "data", "No such file or directory"),
+    ("--dataset", "adir", "data", "Is a directory"),
+    ("--config", "absent.cfg", "config", "No such file or directory"),
+    ("--config", "adir", "config", "Is a directory"),
+    ("--config", "latin1.cfg", "config", "byte e9 on line 2 is not UTF-8"),
+], ids=["missing_dataset", "dataset_directory", "missing_config",
+        "config_directory", "latin1_config"])
+def test_unreadable_input_file_exits_naming_it(tmp_path, capsys, option,
+                                               name, kind, message):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"[source]\nkind = pr\xe9set\n")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CSV_CONFIG.format(path=tmp_path / "unused.csv",
+                                          out=tmp_path / "out"),
+                        encoding="utf-8")
+    path = tmp_path / name
+    argv = ["run", option, str(path), "--out", str(tmp_path / "out")]
+    if option == "--dataset":
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == (3 if kind == "data" else 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{kind} error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_data_exits_3(tmp_path):
