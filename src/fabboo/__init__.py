@@ -12,8 +12,8 @@ from .generators import (DriftEvent, GeneratorConfig, GeneratorError,
                          with_overrides)
 from .imbalance import ImbalanceMonitor
 from .metrics import ConfusionCounts, metrics
-from .prequential import (EvalConfig, Summary, TraceRow, run_prequential,
-                          write_trace)
+from .prequential import (EvalConfig, Summary, Trace, TraceRow,
+                          run_prequential, write_trace)
 from .rng import Xorshift64Star, permutation
 from .tree import HoeffdingTree, TreeParams
 
@@ -25,7 +25,7 @@ __all__ = [
     "EnsembleParams", "EvalConfig", "ExperimentConfig", "FairnessLedger",
     "GeneratorConfig", "GeneratorError", "HoeffdingTree", "ImbalanceMonitor",
     "Instance", "NEGATIVE", "Notion", "POSITIVE", "PRESET_NAMES", "Schedule",
-    "Summary", "TraceRow", "TreeParams",
+    "Summary", "Trace", "TraceRow", "TreeParams",
     "UndefinedRateError", "Xorshift64Star", "config_to_text", "generate",
     "load_csv", "method_params", "metrics", "parse_config_file",
     "parse_config_text", "permutation", "preset", "run_prequential",

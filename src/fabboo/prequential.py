@@ -15,14 +15,17 @@ serial loop.
 The per-step trace (one row every `stride` steps) and the final summary are
 both derived from the same streaming counters, so summary values can be
 recomputed offline from a stride-1 trace. The trace goes to any object
-with `append(row)`: a list by default, or a `TraceWriter`, which writes
-each row to an open file as it is made. The CLI streams every shuffle's
-trace to its `trace.csv` that way, so a run holds no trace row in memory.
+with `append(row)`: by default a `Trace`, which packs each row into 88
+bytes; a list; or a `TraceWriter`, which writes each row to an open file
+as it is made. The CLI streams every shuffle's trace to its `trace.csv`
+that way, so a run holds no trace row in memory.
 """
 
 from __future__ import annotations
 
+import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol
 
@@ -63,6 +66,37 @@ class TraceRow(NamedTuple):
     gmean: float
     recall: float
     kappa: float
+
+
+class Trace(Sequence):
+    """A read-only sequence of TraceRows, each appended row packed into one
+    88-byte record (the four int columns as int64, the seven floats as
+    doubles) of a bytearray and rebuilt as the TraceRow it was when read.
+    A slice is a list; a Trace equals a sequence of equal rows.
+    """
+
+    _record = struct.Struct("=4q7d")
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    def append(self, row: TraceRow) -> None:
+        self._buf += self._record.pack(*row)
+
+    def __len__(self) -> int:
+        return len(self._buf) // self._record.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):   # a list, as a Dataset's slice is
+            return [self[j] for j in range(len(self))[k]]
+        return TraceRow._make(self._record.unpack_from(
+            self._buf, range(len(self))[k] * self._record.size))
+
+    def __iter__(self):
+        return map(TraceRow._make, self._record.iter_unpack(self._buf))
+
+    def __eq__(self, other) -> bool:   # row by row, so 0.0 == -0.0 holds
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 TRACE_HEADER = ",".join(TraceRow._fields)
@@ -109,17 +143,18 @@ def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
     """Evaluate `model` prequentially over `source`.
 
     Returns (trace, summary). `trace` is any object with `append(row)`
-    (a new list when None), which gets each TraceRow as it is made: pass
-    a list to keep the partial trace when a model or source error aborts
-    the run (the exception propagates), or a TraceWriter to write the
-    rows to a file instead of holding them.
+    (a new Trace, which packs the rows, when None), which gets each
+    TraceRow as it is made: pass a list or a Trace to keep the partial
+    trace when a model or source error aborts the run (the exception
+    propagates), or a TraceWriter to write the rows to a file instead of
+    holding them.
     `cpus` is the number of CPUs the run may use (default: every usable
     one); with two or more, a long run of a BoostedEnsemble may pipeline
     its boosting chain across two processes (see parallel.py), with the
     same results.
     """
     if trace is None:
-        trace = []
+        trace = Trace()
     counts = ConfusionCounts()
     ledger = FairnessLedger(config.smoothing)
     monitor = ImbalanceMonitor(config.decay)

@@ -1,5 +1,5 @@
 """The fabboo names that the benchmark in bench/ reaches from outside,
-and the export the benchmark checks against its recorded digest.
+and the outputs the benchmark checks against its recorded digests.
 
 `bench/spans.py` wraps library functions by (owner, attribute) for
 `bench/run.py --trace 1`, and the workloads call the package's public
@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
+
+import pytest
 
 import fabboo
 from fabboo import cli, parallel, pipeline, prequential
@@ -89,3 +91,30 @@ def test_forked_export_matches_the_benchmark_golden_digest(tmp_path,
     assert fork.call_count == 1
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == golden["sha256"]["export_synth"]
+
+
+@pytest.mark.parametrize("name", ["synth_fabboo", "drift_osboost"])
+def test_model_workload_matches_the_benchmark_golden_digest(tmp_path,
+                                                           monkeypatch, name):
+    """One pass of a prequential workload at the golden seed, through its
+    own prepare, setup, call and collect, as bench/run.py makes it: the
+    run keeps its returned trace, which passes the oracle and has the
+    recorded digest."""
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS[name](golden["seed"])
+    mods = SimpleNamespace(fabboo=fabboo, prequential=prequential, cli=cli)
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    out.mkdir()
+    wl.prepare(mods, work)
+    ctx = wl.setup(mods, out)
+    wl.call(mods, ctx, None, None)
+    assert type(ctx.trace) is prequential.Trace
+    got = wl.collect(mods, ctx, out)
+    assert got.problems == []
+    assert got.digest == golden["sha256"][name]

@@ -1,6 +1,7 @@
 """Synthetic stream generators: schedules, drift plans, bias injection and
 the pinned presets."""
 
+import hashlib
 import math
 import statistics
 from itertools import zip_longest
@@ -254,6 +255,36 @@ def test_presets_match_the_reference(name):
               default=4000) + 1000
     for seed in (1, 2):
         assert_same_stream(with_overrides(config, length=cut, seed=seed))
+
+
+# SHA-256 of repr(preset(name)): every field of every preset, drift
+# events and schedule points included (the test above checks generate()
+# against whatever preset() returns, so it pins no preset's config)
+PRESET_DIGESTS = {
+    "paper_synth":
+        "d5b52b6e712caf39ca25037f8e7e4a44597dae6043c1ca3c924611d2ffc4381d",
+    "ratio_fixed":
+        "d77c61e8926f77d4372c38647318553b4e69e6d96590d1f839e1cbd2c62101e4",
+    "ratio_increasing":
+        "c32a368bdc590332bb69def7996329379fb1ce9a88b3bf74646db4796b3dbbfb",
+    "ratio_decreasing":
+        "e5099d00132bd1a20a6a2e4f997a7ade11d8ef3e8a78a0fe5be52a8b5ef6c63d",
+    "ratio_fluctuating":
+        "63d2341575edb6f165f76221b9673bd8b221aaec4b93e4d482d331559cc9bcf0",
+    "drift_sudden":
+        "c84ebefb11eadbd569d11af715d373d17892947f1f3ef7c0be81c0956628f85d",
+    "drift_gradual":
+        "9290ed96ef8bea93f22b5a0790644751ee9c4b713cea6eedbce13a66a8f83fde",
+    "drift_recurrent":
+        "ee73a53df5f88e83f670ffb39e0711186c64ee7ba160c77a9b1a747674ff6834",
+}
+
+
+def test_every_preset_config_is_pinned():
+    assert tuple(PRESET_DIGESTS) == PRESET_NAMES
+    for name, digest in PRESET_DIGESTS.items():
+        config = repr(preset(name))
+        assert hashlib.sha256(config.encode()).hexdigest() == digest, config
 
 
 def _schedule(values):

@@ -311,6 +311,38 @@ def test_checked_stream_crosses_splits_and_promotions():
     assert tree.replacements > 0
 
 
+def frozen_until_promoted(stream):
+    """Train an adaptive and a frozen tree on `stream` until the adaptive
+    one first promotes: until then both return the same margin and
+    describe the same tree after every arrival, whatever alternates grow
+    and are discarded. Returns (promotions, arrivals that ended with an
+    alternate alive)."""
+    adaptive = HoeffdingTree(MIXED, TreeParams(**FAST))
+    frozen = HoeffdingTree(MIXED, TreeParams(adaptive=False, **FAST))
+    alive = 0
+    for x, y, w in stream:
+        h = adaptive.train_weighted(x, y, w)
+        if adaptive.replacements:
+            break
+        assert h == frozen.train_weighted(x, y, w)
+        assert adaptive.describe() == frozen.describe()
+        alive += any(nd.alt is not None for nd in all_nodes(adaptive.root))
+    return adaptive.replacements, alive
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 1200),
+       flip=st.floats(0.0, 1.0), zero_share=st.sampled_from((0.0, 0.2)))
+def test_unpromoted_alternates_leave_the_frozen_tree(seed, n, flip,
+                                                     zero_share):
+    frozen_until_promoted(mixed_stream(seed, n, int(flip * n), zero_share))
+
+
+def test_a_stationary_stream_grows_alternates_and_promotes_none():
+    promotions, alive = frozen_until_promoted(mixed_stream(2, 1200, 1200, 0.0))
+    assert promotions == 0 and alive > 500
+
+
 # ------------------------------------------ leaf statistics and alternates
 
 SPREAD = ("num", "cat", "num")   # numeric attribute j sits at position 2j
