@@ -279,6 +279,37 @@ def test_run_and_sweep_flags_are_pinned():
         ("--values", None, "comma-separated parameter values")]
 
 
+def test_flag_choices_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "sweep"):
+        choices = {a.option_strings[-1]: a.choices
+                   for a in sub.choices[command]._actions if a.choices}
+        assert choices.pop("--order") == ("shuffled", "stored")
+        assert tuple(choices.pop("--method")) == METHODS
+        assert choices == ({} if command == "run" else
+                           {"--param": ["lambda", "learners", "m", "n",
+                                        "window"]})
+
+
+@pytest.mark.parametrize("param, key, values", [
+    ("learners", "learners", ("1", "3")),
+    ("n", "learners", ("1", "3")),
+    ("lambda", "lambda", ("0.5", "0.8")),
+    ("window", "window", ("10", "20")),
+    ("m", "window", ("10", "20")),
+])
+def test_each_sweep_name_sets_its_key(tmp_path, param, key, values):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "ratio_fixed", "--length", "50",
+                 "--learners", "2", "--param", param,
+                 "--values", ",".join(values), "--out", str(out)]) == 0
+    for value in values:
+        text = (out / f"{param}={value}" / "config.cfg").read_text(
+            encoding="utf-8")
+        assert f"\n{key} = {value}\n" in text
+
+
 # ------------------------------------------------- what a config file holds
 
 PRESET_SOURCE = """\
