@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 from . import parallel
-from .boosting import METHODS, BoostedEnsemble
-from .config import (PARAMS, ConfigError, ExperimentConfig, config_to_text,
-                     parse_config_file, parse_notion)
+from .boosting import BoostedEnsemble
+from .config import (KEYS, SWEEPS, ConfigError, ExperimentConfig,
+                     config_to_text, parse_config_file)
 from .data import DataError, load_csv, save_csv, shuffled
 from .generators import generate, preset, with_overrides
 # write_trace is not called here, but bench/spans.py wraps it by this
@@ -32,9 +32,6 @@ EXIT_DATA = 3
 _AGGREGATED = ("bal_acc", "gmean", "recall", "kappa",
                "cum_sp", "cum_eqop", "cum_peq", "wall_s")
 
-_SWEEP_PARAMS = {"learners": "learners", "n": "learners", "lambda": "decay",
-                 "window": "window", "m": "window"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,19 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="experiment config file")
-        p.add_argument("--dataset", dest="csv_path",
-                       help="CSV dataset path (needs schema keys from a "
-                            "config file)")
-        p.add_argument("--preset", dest="preset_name",
-                       help="named synthetic stream")
-        p.add_argument("--length", type=int, help="stream length override")
-        p.add_argument("--order", choices=("shuffled", "stored"))
-        p.add_argument("--method", choices=METHODS)
-        p.add_argument("--fairness", help="sp | eqop | peq | none")
-        for _, key, field, conv, text in PARAMS:
-            p.add_argument(f"--{key}", dest=field, type=conv, help=text,
-                           metavar=key.upper())
-        p.add_argument("--out", dest="out_dir", help="output directory")
+        for name, key in KEYS.items():
+            if key.flag:   # a number flag is converted by argparse
+                p.add_argument(key.flag, dest=name, help=key.help,
+                               choices=key.choices,
+                               type={int: int, float: float}.get(key.parse))
 
     run_p = sub.add_parser("run", help="execute one experiment (all shuffles)")
     add_common(run_p)
@@ -66,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "hyperparameter grid")
     add_common(sweep_p)
     sweep_p.add_argument("--param", required=True,
-                         choices=sorted(_SWEEP_PARAMS),
+                         choices=sorted(SWEEPS),
                          help="parameter to sweep (N=learners, M=window)")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated parameter values")
@@ -81,15 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """`cfg` with the given run/sweep flags applied. Each flag's dest is the
-    field it sets; --dataset and --preset also set the source kind, and
-    --fairness is parsed into the notion."""
-    updates = {f.name: getattr(args, f.name) for f in fields(cfg)
-               if getattr(args, f.name, None) is not None}
-    for field, kind in (("csv_path", "csv"), ("preset_name", "preset")):
-        if getattr(args, field) is not None:
-            updates["source_kind"] = kind
-    if args.fairness is not None:
-        updates["notion"] = parse_notion(args.fairness)
+    field it sets, and its value is read as the field's config key is; a
+    flag declared to switch the source kind also sets the kind."""
+    updates = {}
+    for name, key in KEYS.items():
+        if getattr(args, name, None) is not None:
+            updates[name] = key.parse(getattr(args, name))
+            if key.switch:
+                updates["source_kind"] = key.kind
     return replace(cfg, **updates)
 
 
@@ -171,13 +159,12 @@ def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
     Every value's config is checked before the first run."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    attr = _SWEEP_PARAMS[param]
-    conv = next(type_ for _, _, field, type_, _ in PARAMS if field == attr)
+    attr = SWEEPS[param]
     out_root = Path(cfg.out_dir)
     runs = []
     for raw in values:
         try:
-            value = conv(raw)
+            value = KEYS[attr].parse(raw)
         except ValueError:
             raise ConfigError(f"bad sweep value {raw!r}")
         sub_cfg = replace(cfg, **{attr: value,

@@ -19,18 +19,23 @@ stream: `attributes`/`class_gap`/`noise` or `pos_means`/`neg_means`/
 entries. README.md shows each key's syntax, and
 `configs/adult_example.cfg` is a complete file.
 
-Each key is read, and taken out of its section, by `_value`. A key or
-section left over (misspelt, or foreign to the source kind) is a
-ConfigError naming it and the closest name the parser reads.
+Each `ExperimentConfig` field declares its key once, as a `Key` in the
+field's metadata: its section and source kind, its config key and how
+the key's text is read and written, and the run/sweep flag that sets
+it. `parse_config_text`, `config_to_text` and the CLI's flags read these
+declarations in field order. Each key is read, and taken out of its
+section, by `_value`. A key or section left over (misspelt, or foreign
+to the source kind) is a ConfigError naming it and the closest name the
+parser reads.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
-from .boosting import CHUNK, EnsembleParams, method_params
+from .boosting import CHUNK, METHODS, EnsembleParams, method_params
 from .data import AttributeSpec, DatasetSchema, DataError, not_utf8
 from .fairness import Notion
 from .generators import (DriftEvent, GeneratorConfig, PRESET_NAMES, Schedule,
@@ -40,95 +45,6 @@ from .prequential import EvalConfig
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-# (section, key, field, type, help) of each scalar run parameter, in
-# config-file order: parsing, serialisation and the run/sweep flags read it
-PARAMS = (
-    ("method", "learners", "learners", int, "ensemble size N"),
-    ("method", "gamma", "gamma", float, "boosting edge parameter"),
-    ("method", "lambda", "decay", float, "imbalance-monitor decay"),
-    ("method", "window", "window", int, "boundary window capacity M"),
-    ("method", "epsilon", "epsilon", float, "discrimination tolerance"),
-    ("method", "smoothing", "smoothing", float,
-     "fairness denominator correction l"),
-    ("method", "chunk", "chunk", int, "chunk size (cfbb)"),
-    ("run", "shuffles", "shuffles", int, None),
-    ("run", "seed", "seed", int, None),
-    ("run", "stride", "stride", int, "trace row stride"),
-)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    source_kind: str = "preset"          # csv | preset | generator
-    csv_path: str | None = None
-    schema: DatasetSchema | None = None
-    order: str = "shuffled"              # shuffled | stored (csv only)
-    preset_name: str | None = None
-    generator: GeneratorConfig | None = None
-    length: int | None = None            # preset/generator length override
-    method: str = "fabboo"
-    notion: Notion | None = Notion.SP
-    learners: int = EnsembleParams.learners
-    gamma: float = EnsembleParams.gamma
-    decay: float = EnsembleParams.decay  # imbalance decay (the lambda knob)
-    window: int = EnsembleParams.window
-    epsilon: float = EnsembleParams.epsilon
-    smoothing: float = EnsembleParams.smoothing
-    chunk: int = CHUNK
-    shuffles: int = 1
-    seed: int = 1
-    stride: int = 100
-    out_dir: str = "out"
-
-    def ensemble_params(self) -> EnsembleParams:
-        return method_params(self.method, self.notion, **{
-            field: getattr(self, field)
-            for section, _, field, _, _ in PARAMS if section == "method"})
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(stride=self.stride,
-                          trace_notion=self.notion or Notion.SP,
-                          decay=self.decay, smoothing=self.smoothing)
-
-    def generator_config(self) -> GeneratorConfig:
-        """The stream of a preset or generator source, `length` applied."""
-        gen = (preset(self.preset_name) if self.source_kind == "preset"
-               else self.generator)
-        return with_overrides(gen, length=self.length)
-
-    def validate(self) -> None:
-        """Check the whole run before any data is read. The method and its
-        parameters are checked by the ensemble and evaluation types built
-        from them."""
-        try:
-            self.ensemble_params()
-            self.eval_config()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        if self.shuffles < 1:
-            raise ConfigError("shuffles must be >= 1")
-        if self.source_kind == "csv":
-            if not self.csv_path or self.schema is None:
-                raise ConfigError("csv source needs path and schema")
-            if self.order not in ("shuffled", "stored"):
-                raise ConfigError(f"unknown order {self.order!r}")
-            if self.order == "stored" and self.shuffles > 1:
-                raise ConfigError("stored order admits only shuffles = 1")
-            if self.length is not None:
-                raise ConfigError("length applies only to preset and "
-                                  "generator sources")
-        elif self.order != "shuffled":
-            raise ConfigError("order applies only to csv sources")
-        elif self.source_kind == "preset":
-            if self.preset_name not in PRESET_NAMES:
-                raise ConfigError(f"unknown preset {self.preset_name!r}")
-        elif self.source_kind == "generator":
-            if self.generator is None:
-                raise ConfigError("generator source needs a generator section")
-        else:
-            raise ConfigError(f"unknown source kind {self.source_kind!r}")
 
 
 # ------------------------------------------------------------------- reading
@@ -220,6 +136,17 @@ def _parse_schema(src: _Unread) -> DatasetSchema:
         raise ConfigError(str(e))
 
 
+def _schema_keys(s: DatasetSchema) -> list[tuple[str, str]]:
+    """The (key, text) lines `_parse_schema` reads."""
+    return [("features", ", ".join(
+                f"{a.name}:num" if a.kind == "num"
+                else f"{a.name}:cat({'|'.join(a.categories)})"
+                for a in s.attributes)),
+            ("protected", f"{s.protected_attribute}={s.protected_value}"),
+            ("label", f"{s.label_name}:cat({'|'.join(s.label_values)})"
+                      f"={s.positive_value}")]
+
+
 # ------------------------------------------------------------ generator text
 
 def _point(text: str) -> tuple[float, float]:
@@ -274,12 +201,165 @@ def _parse_generator(src: _Unread) -> GeneratorConfig:
     if not src.keys() & {"pos_means", "neg_means", "stds"}:
         defaults.update(pos_means=(gap / 2.0,) * d,
                         neg_means=(-gap / 2.0,) * d, stds=(std,) * d)
-    fields = {field: _value(src, key, parse, defaults.get(field, _NEEDED))
+    values = {field: _value(src, key, parse, defaults.get(field, _NEEDED))
               for key, field, parse, _ in _GENERATOR_KEYS}
     try:
-        return GeneratorConfig(**fields)
+        return GeneratorConfig(**values)
     except ValueError as e:
         raise ConfigError(str(e))
+
+
+def _generator_keys(gen: GeneratorConfig) -> list[tuple[str, str | None]]:
+    """The (key, text) lines `_parse_generator` reads."""
+    return [(k, write(getattr(gen, f))) for k, f, _, write in _GENERATOR_KEYS]
+
+
+def parse_notion(text: str) -> Notion | None:
+    text = text.strip().lower()
+    if text in ("none", ""):
+        return None
+    try:
+        return Notion(text)
+    except ValueError:
+        raise ConfigError(f"unknown fairness notion {text!r}")
+
+
+# --------------------------------------------------------------- the keys
+
+class Key(NamedTuple):
+    """How the config file holds one `ExperimentConfig` field, and the
+    run/sweep flag that sets it.
+
+    `parse` reads the key's text and `write` gives it back, or None to
+    leave the line out. A field with no `name` is held by several keys:
+    its `parse` reads them from the section and its `write` gives their
+    (key, text) pairs. A [source] key is read only under its source
+    `kind`. A flag's value is read by `parse`, and with `switch` the
+    flag also selects `kind`. `sweep` holds the field's names for
+    `fabboo sweep --param`."""
+    section: str
+    name: str | None
+    parse: Callable = str
+    write: Callable = lambda value: None if value is None else str(value)
+    kind: str | None = None
+    flag: str | None = None
+    help: str | None = None
+    choices: tuple | None = None
+    sweep: tuple[str, ...] = ()
+    switch: bool = False
+
+
+def _key(default, *args, **kwargs):
+    """A field holding `default`, declared by `Key(*args, **kwargs)`."""
+    return field(default=default, metadata={"key": Key(*args, **kwargs)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment. The fields are in the order of their run/sweep
+    flags and of their keys in a config file."""
+    source_kind: str = _key("preset", "source", "kind")
+    csv_path: str | None = _key(
+        None, "source", "path", kind="csv", flag="--dataset", switch=True,
+        help="CSV dataset path (needs schema keys from a config file)")
+    schema: DatasetSchema | None = _key(
+        None, "source", None, _parse_schema, _schema_keys, kind="csv")
+    preset_name: str | None = _key(
+        None, "source", "preset", kind="preset", flag="--preset", switch=True,
+        help="named synthetic stream")
+    length: int | None = _key(   # preset/generator length override
+        None, "source", "length", int, kind="preset", flag="--length",
+        help="stream length override")
+    order: str = _key("shuffled", "source", "order", kind="csv",
+                      flag="--order", choices=("shuffled", "stored"))
+    generator: GeneratorConfig | None = _key(
+        None, "source", None, _parse_generator, _generator_keys,
+        kind="generator")
+    method: str = _key("fabboo", "method", "method", flag="--method",
+                       choices=METHODS)
+    notion: Notion | None = _key(
+        Notion.SP, "method", "fairness", parse_notion,
+        lambda notion: notion.value if notion else "none", flag="--fairness",
+        help="sp | eqop | peq | none")
+    learners: int = _key(EnsembleParams.learners, "method", "learners", int,
+                         flag="--learners", help="ensemble size N",
+                         sweep=("learners", "n"))
+    gamma: float = _key(EnsembleParams.gamma, "method", "gamma", float,
+                        flag="--gamma", help="boosting edge parameter")
+    decay: float = _key(EnsembleParams.decay, "method", "lambda", float,
+                        flag="--lambda", help="imbalance-monitor decay",
+                        sweep=("lambda",))
+    window: int = _key(EnsembleParams.window, "method", "window", int,
+                       flag="--window", help="boundary window capacity M",
+                       sweep=("window", "m"))
+    epsilon: float = _key(EnsembleParams.epsilon, "method", "epsilon", float,
+                          flag="--epsilon", help="discrimination tolerance")
+    smoothing: float = _key(EnsembleParams.smoothing, "method", "smoothing",
+                            float, flag="--smoothing",
+                            help="fairness denominator correction l")
+    chunk: int = _key(CHUNK, "method", "chunk", int, flag="--chunk",
+                      help="chunk size (cfbb)")
+    shuffles: int = _key(1, "run", "shuffles", int, flag="--shuffles")
+    seed: int = _key(1, "run", "seed", int, flag="--seed")
+    stride: int = _key(100, "run", "stride", int, flag="--stride",
+                       help="trace row stride")
+    out_dir: str = _key("out", "output", "dir", flag="--out",
+                        help="output directory")
+
+    def ensemble_params(self) -> EnsembleParams:
+        return method_params(**{name: getattr(self, name)
+                                for name, key in KEYS.items()
+                                if key.section == "method"})
+
+    def eval_config(self) -> EvalConfig:
+        return EvalConfig(stride=self.stride,
+                          trace_notion=self.notion or Notion.SP,
+                          decay=self.decay, smoothing=self.smoothing)
+
+    def generator_config(self) -> GeneratorConfig:
+        """The stream of a preset or generator source, `length` applied."""
+        gen = (preset(self.preset_name) if self.source_kind == "preset"
+               else self.generator)
+        return with_overrides(gen, length=self.length)
+
+    def validate(self) -> None:
+        """Check the whole run before any data is read. The method and its
+        parameters are checked by the ensemble and evaluation types built
+        from them."""
+        try:
+            self.ensemble_params()
+            self.eval_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        if self.shuffles < 1:
+            raise ConfigError("shuffles must be >= 1")
+        if self.source_kind == "csv":
+            if not self.csv_path or self.schema is None:
+                raise ConfigError("csv source needs path and schema")
+            if self.order not in KEYS["order"].choices:
+                raise ConfigError(f"unknown order {self.order!r}")
+            if self.order == "stored" and self.shuffles > 1:
+                raise ConfigError("stored order admits only shuffles = 1")
+            if self.length is not None:
+                raise ConfigError("length applies only to preset and "
+                                  "generator sources")
+        elif self.order != "shuffled":
+            raise ConfigError("order applies only to csv sources")
+        elif self.source_kind not in ("preset", "generator"):
+            raise ConfigError(f"unknown source kind {self.source_kind!r}")
+        elif (self.source_kind == "preset"
+              and self.preset_name not in PRESET_NAMES):
+            raise ConfigError(f"unknown preset {self.preset_name!r}")
+        elif self.source_kind == "generator" and self.generator is None:
+            raise ConfigError("generator source needs a generator section")
+        elif self.generator_config().length == 0:
+            raise ConfigError("length must be >= 1 for a run")
+
+
+# the declaration of each field, in field order
+KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
+# the field each `fabboo sweep --param` name sets
+SWEEPS = {sweep: name for name, key in KEYS.items() for sweep in key.sweep}
 
 
 # ------------------------------------------------------------------- parsing
@@ -307,30 +387,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
                       for name in cp.sections()}, "config section")
     sections = {name: config.take(name) or _Unread({}, "")
                 for name in ("source", "method", "run", "output")}
-    src, method = sections["source"], sections["method"]
-    cfg = ExperimentConfig()
-    kind = _value(src, "kind", str, cfg.source_kind)
-    src.what = f"key of a {kind} [source]"
-    fields = {"source_kind": kind}
-    if kind == "csv":
-        fields.update(csv_path=_value(src, "path"), schema=_parse_schema(src),
-                      order=_value(src, "order", str, cfg.order))
-    elif kind == "preset":
-        fields.update(preset_name=_value(src, "preset"),
-                      length=_value(src, "length", int))
-    elif kind == "generator":
-        fields["generator"] = _parse_generator(src)
-    else:
-        raise ConfigError(f"unknown source kind {kind!r}")
-    fields.update(method=_value(method, "method", str, cfg.method),
-                  notion=_value(method, "fairness", parse_notion, cfg.notion))
-    for section, key, field, parse, _ in PARAMS:
-        fields[field] = _value(sections[section], key, parse,
-                               getattr(cfg, field))
-    fields["out_dir"] = _value(sections["output"], "dir", str, cfg.out_dir)
+    values = {}
+    for name, key in KEYS.items():
+        if key.kind not in (None, values.get("source_kind")):
+            continue   # a key of another source kind
+        section = sections[key.section]
+        values[name] = (key.parse(section) if key.name is None else
+                        _value(section, key.name, key.parse,
+                               getattr(ExperimentConfig, name)))
+        if name == "source_kind":   # the kind decides which keys follow
+            if values[name] not in ("csv", "preset", "generator"):
+                raise ConfigError(f"unknown source kind {values[name]!r}")
+            section.what = f"key of a {values[name]} [source]"
     for unread in (config, *sections.values()):
         unread.check_read()
-    return replace(cfg, **fields)
+    return ExperimentConfig(**values)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -344,51 +415,20 @@ def parse_config_file(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def parse_notion(text: str) -> Notion | None:
-    text = text.strip().lower()
-    if text in ("none", ""):
-        return None
-    try:
-        return Notion(text)
-    except ValueError:
-        raise ConfigError(f"unknown fairness notion {text!r}")
-
-
 # --------------------------------------------------------------- serializing
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    out = io.StringIO()
-    out.write(f"[source]\nkind = {cfg.source_kind}\n")
-    if cfg.source_kind == "csv":
-        out.write(f"path = {cfg.csv_path}\n")
-        s = cfg.schema
-        out.write("features = " + ", ".join(
-            f"{a.name}:num" if a.kind == "num"
-            else f"{a.name}:cat({'|'.join(a.categories)})"
-            for a in s.attributes) + "\n")
-        out.write(f"protected = {s.protected_attribute}={s.protected_value}\n")
-        out.write(f"label = {s.label_name}:cat({'|'.join(s.label_values)})"
-                  f"={s.positive_value}\n")
-        out.write(f"order = {cfg.order}\n")
-    elif cfg.source_kind == "preset":
-        out.write(f"preset = {cfg.preset_name}\n")
-        if cfg.length is not None:
-            out.write(f"length = {cfg.length}\n")
-    else:
-        g = cfg.generator_config()
-        for key, field, _, format_ in _GENERATOR_KEYS:
-            text = format_(getattr(g, field))
-            if text is not None:
-                out.write(f"{key} = {text}\n")
-    out.write("\n[method]\n")
-    out.write(f"method = {cfg.method}\n")
-    out.write(f"fairness = {cfg.notion.value if cfg.notion else 'none'}\n")
-    section = "method"
-    for sec, key, field, _, _ in PARAMS:
-        if sec != section:
-            section = sec
-            out.write(f"\n[{section}]\n")
-        out.write(f"{key} = {getattr(cfg, field)!r}\n")
-    out.write("\n[output]\n")
-    out.write(f"dir = {cfg.out_dir}\n")
-    return out.getvalue()
+    if cfg.source_kind == "generator":   # bake a length override in
+        cfg = replace(cfg, generator=cfg.generator_config())
+    lines, section = [], None
+    for name, key in KEYS.items():
+        if key.kind not in (None, cfg.source_kind):
+            continue
+        if key.section != section:
+            section = key.section
+            lines += ["", f"[{section}]"]
+        value = getattr(cfg, name)
+        pairs = (key.write(value) if key.name is None
+                 else [(key.name, key.write(value))])
+        lines += [f"{k} = {text}" for k, text in pairs if text is not None]
+    return "\n".join(lines[1:]) + "\n"

@@ -18,7 +18,7 @@ from fabboo import (BoostedEnsemble, EnsembleParams, EvalConfig, Notion,
 from fabboo import cli, parallel, pipeline
 from fabboo.boosting import METHODS
 from fabboo.cli import main
-from fabboo.config import (PARAMS, ConfigError, ExperimentConfig,
+from fabboo.config import (KEYS, ConfigError, ExperimentConfig,
                            parse_config_file)
 from fabboo.data import AttributeSpec, DatasetSchema, DataError
 from fabboo.generators import (PRESET_NAMES, DriftEvent, GeneratorConfig,
@@ -422,6 +422,8 @@ GENERATOR_RATIO_BIAS = "ratio = 0.4\nbias = 0.0\n"
      "malformed config: line 5 repeats section [source]"),
     ("[source]\nKind = preset\nkind = preset\n",
      "malformed config: line 3 repeats key 'kind' of [source]"),
+    (GENERATOR_SOURCE.replace("20", "0") + GENERATOR_RATIO_BIAS,
+     "length must be >= 1 for a run"),
 ], ids=["misspelt-key", "misspelt-section", "section-case", "default-section",
         "csv-key-under-preset", "csv-key-under-generator",
         "half-given-means", "means-without-stds", "no-bias",
@@ -435,7 +437,7 @@ GENERATOR_RATIO_BIAS = "ratio = 0.4\nbias = 0.0\n"
         "non-positive-std", "negative-length", "protected-share-one",
         "drift-past-length", "gradual-drift-without-duration",
         "empty-ratio-schedule", "ratio-above-one", "repeated-key",
-        "repeated-section", "repeated-key-in-other-case"])
+        "repeated-section", "repeated-key-in-other-case", "zero-length"])
 def test_bad_config_file_exits_2_naming_the_key(tmp_path, capsys, text,
                                                 message):
     cfg_file = tmp_path / "exp.cfg"
@@ -558,7 +560,8 @@ RUN_SETTINGS = st.fixed_dictionaries({
     "method": st.sampled_from(METHODS),
     "notion": st.sampled_from([*Notion, None]),
     "out_dir": TEXT,
-    **{field: NUMBERS[conv] for _, _, field, conv, _ in PARAMS}})
+    **{name: NUMBERS[key.parse] for name, key in KEYS.items()
+       if key.section in ("method", "run") and key.parse in NUMBERS}})
 
 
 @settings(max_examples=200, deadline=None)
@@ -630,6 +633,7 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--smoothing", "inf"], "smoothing"),
     (["--preset", "ratio_fixed", "--order", "stored"], "order"),
     (["--preset", "nope"], "unknown preset 'nope'"),
+    (["--preset", "ratio_fixed", "--length", "0"], "length"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)

@@ -11,6 +11,19 @@ boosting pipeline forked at arrival 500.
 A `fabboo run` on a CSV export is pinned the same way, through the CLI's
 load and shuffle: each shuffle's trace in shuffled order, run serially and
 with one pooled helper, and the trace in stored order.
+
+The digests lock behaviour; a change that alters outputs on purpose
+re-records them, in a commit that changes nothing else, and may move only
+the digests its kind of change reaches:
+
+- a tree-drift change (drift detection, alternates, promotion): only the
+  digests of cuts that promote, which `PROMOTIONS` names (today the 11 of
+  `drift_sudden`);
+- a boundary or ledger change: only the 36 digests that have a notion
+  (the 9 `fabboo`, `ofib` and `cfbb` pairs of each of the 4 cuts), plus
+  the 3 `CSV_DIGESTS`; the 8 `osboost` and `imbalance_only` digests stay;
+- a generator extension (a new preset or generator option): none; it adds
+  digests for what it adds and lists them.
 """
 
 import hashlib
