@@ -1,7 +1,8 @@
 """The forked helpers' protocol, beyond what test_pipeline.py checks: a
 source error waits for the export's writer to flush, a failed writer
 closes its inbox before it reports, and the export and the pipeline give
-the serial bytes while a profiling timer interrupts the calling process.
+the serial bytes while a profiling timer interrupts the calling process,
+and a wait on either side of a helper blocks rather than uses CPU.
 """
 
 import signal
@@ -157,3 +158,51 @@ def test_pipelined_run_under_a_profiling_timer_equals_serial_run():
                          [l.describe() for l in model.learners]))
     assert outcomes[0] == outcomes[1]
     assert no_children_left()
+
+
+# the CPU time, in seconds, that nine or ten waits of 50 ms may use: a
+# wait that spins for 2 ms before it blocks uses about 20 ms
+WAITS_CPU_S = 0.005
+
+
+def test_a_helper_waiting_on_its_inbox_uses_no_cpu():
+    """The helper reads ten messages sent 50 ms apart and reports the CPU
+    time it used from the first to the end of its inbox."""
+    def child(inbox, send):
+        messages = pipeline._messages(inbox)
+        next(messages)
+        start = time.process_time()
+        for _ in messages:
+            pass
+        return time.process_time() - start
+
+    helper = pipeline.Helper(child)
+    try:
+        for i in range(10):
+            time.sleep(0.05)
+            helper.send(i)
+        helper.outbox.close()
+        spent = helper.outcome()
+    finally:
+        helper.close()
+    assert spent < WAITS_CPU_S
+
+
+def test_a_caller_waiting_on_a_helper_uses_no_cpu():
+    """The helper sends ten messages 50 ms apart; the caller's reads of
+    them use no CPU time while they wait."""
+    def child(inbox, send):
+        for i in range(10):
+            time.sleep(0.05)
+            send(i)
+
+    helper = pipeline.Helper(child)
+    try:
+        start = time.process_time()
+        got = [helper.recv() for _ in range(10)]
+        spent = time.process_time() - start
+        helper.outcome()
+    finally:
+        helper.close()
+    assert got == list(range(10))
+    assert spent < WAITS_CPU_S
