@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import time
 import traceback
 from collections import deque
 from functools import partial
@@ -54,12 +53,6 @@ from .boosting import NO_HEAD, margin_sum
 LOOKAHEAD = 512
 # arrivals per message between the caller and the helper
 _BATCH = 16
-# a wait polls this long before it blocks: a blocked process wakes late
-# on a busy host, and a pipeline waits once per message. A plain blocking
-# read was within the runs' spread (10 alternating bench pairs, 2 vCPUs,
-# medians): synth_fabboo 9,512/s against 9,395, export_synth 119.6k/s
-# against 118.4k, but synth_fabboo's p99 and setup_s read higher with it
-_SPIN_S = 0.002
 # rows per message to an export's writer, which acknowledges each (about
 # 61 kB pickled on paper_synth). Three messages' rows held ahead bound the
 # memory; with two, the writer idled and export_synth ran 6% slower
@@ -111,7 +104,7 @@ class Helper:
         """The helper's next message, or None once its last has come."""
         if self.last is None:
             try:
-                kind, value = _recv(self.inbox)
+                kind, value = self.inbox.recv()
             except EOFError:
                 raise RuntimeError("a helper process exited unexpectedly") \
                     from None
@@ -294,19 +287,9 @@ def _messages(conn):
     """The messages on `conn` until the other end closes it."""
     while True:
         try:
-            yield _recv(conn)
+            yield conn.recv()
         except EOFError:
             return
-
-
-def _recv(conn):
-    """The next message on `conn`, polled for up to _SPIN_S before the
-    read blocks; EOFError when the other end has closed."""
-    if not conn.poll(0):
-        deadline = time.perf_counter() + _SPIN_S
-        while not conn.poll(0) and time.perf_counter() < deadline:
-            pass
-    return conn.recv()
 
 
 def _portable(error: Exception) -> Exception:
