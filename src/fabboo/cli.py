@@ -156,23 +156,27 @@ def execute_run(cfg: ExperimentConfig) -> list[Summary]:
 
 def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
     """Run the experiment once per parameter value; returns the wide table.
-    Every value's config is checked before the first run."""
+    Every value's config is checked before the first run, and a value may
+    not repeat an earlier one."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     attr = SWEEPS[param]
     out_root = Path(cfg.out_dir)
-    runs = []
+    runs = {}   # {parsed value: (raw, its config)}
     for raw in values:
         try:
             value = KEYS[attr].parse(raw)
         except ValueError:
             raise ConfigError(f"bad sweep value {raw!r}")
+        if value in runs:
+            raise ConfigError(f"sweep value {raw!r} repeats "
+                              f"{runs[value][0]!r}")
         sub_cfg = replace(cfg, **{attr: value,
                                   "out_dir": str(out_root / f"{param}={raw}")})
         sub_cfg.validate()
-        runs.append((raw, sub_cfg))
+        runs[value] = raw, sub_cfg
     rows = []
-    for raw, sub_cfg in runs:
+    for raw, sub_cfg in runs.values():
         summaries = execute_run(sub_cfg)
         cells = [f"{raw}"]
         for key in _AGGREGATED:

@@ -352,7 +352,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {self.preset_name!r}")
         elif self.source_kind == "generator" and self.generator is None:
             raise ConfigError("generator source needs a generator section")
-        elif self.generator_config().length == 0:
+        # an override is checked as given, since the stream it would build
+        # refuses a negative length with a message of its own
+        elif (self.length if self.length is not None
+              else self.generator_config().length) < 1:
             raise ConfigError("length must be >= 1 for a run")
 
 

@@ -634,6 +634,8 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--preset", "ratio_fixed", "--order", "stored"], "order"),
     (["--preset", "nope"], "unknown preset 'nope'"),
     (["--preset", "ratio_fixed", "--length", "0"], "length"),
+    (["--preset", "ratio_fixed", "--length", "-1"],
+     "length must be >= 1 for a run"),
 ])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     data = write_dataset(tmp_path)
@@ -649,15 +651,21 @@ def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_sweep_value_exits_2_before_any_output(tmp_path, capsys):
+@pytest.mark.parametrize("param, values, key", [
+    ("lambda", "0.5,1.5", "lambda"),
+    ("n", "1,1,01", "sweep value '1' repeats '1'"),
+    ("lambda", "0.5,0.50", "sweep value '0.50' repeats '0.5'"),
+], ids=["out_of_range", "repeated", "repeated_spelt_apart"])
+def test_bad_sweep_value_exits_2_before_any_output(tmp_path, capsys, param,
+                                                   values, key):
     out = tmp_path / "sweep"
     assert main(["sweep", "--preset", "ratio_fixed", "--length", "200",
-                 "--learners", "2", "--param", "lambda",
-                 "--values", "0.5,1.5", "--out", str(out)]) == 2
+                 "--learners", "2", "--param", param,
+                 "--values", values, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     line, = captured.err.splitlines()
-    assert line.startswith("config error: ") and "lambda" in line
+    assert line.startswith("config error: ") and key in line
     assert not out.exists()
 
 
