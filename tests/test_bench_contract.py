@@ -118,3 +118,29 @@ def test_model_workload_matches_the_benchmark_golden_digest(tmp_path,
     got = wl.collect(mods, ctx, out)
     assert got.problems == []
     assert got.digest == golden["sha256"][name]
+
+
+def test_csv_workload_matches_the_benchmark_golden_digest(tmp_path,
+                                                         monkeypatch):
+    """One pass of csv_shuffles at the golden seed, through its own
+    prepare, setup, call and collect: `fabboo run` on the exported CSV
+    leaves shuffle directories that pass the oracle and have the recorded
+    digest, so a changed output fails here and not only in the benchmark's
+    traced passes, whose coverage check fails now and then on its own."""
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS["csv_shuffles"](golden["seed"])
+    mods = SimpleNamespace(fabboo=fabboo, prequential=prequential, cli=cli)
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    out.mkdir()
+    wl.prepare(mods, work)
+    ctx = wl.setup(mods, out)
+    wl.call(mods, ctx, None, None)
+    got = wl.collect(mods, ctx, out)
+    assert got.problems == []
+    assert got.digest == golden["sha256"]["csv_shuffles"]
