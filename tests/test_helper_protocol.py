@@ -176,16 +176,18 @@ def test_a_helper_waiting_on_its_inbox_uses_no_cpu():
             pass
         return time.process_time() - start
 
-    helper = pipeline.Helper(child)
-    try:
-        for i in range(10):
-            time.sleep(0.05)
-            helper.send(i)
-        helper.outbox.close()
-        spent = helper.outcome()
-    finally:
-        helper.close()
+    with alarm(30, "the helper never reports"):
+        helper = pipeline.Helper(child)
+        try:
+            for i in range(10):
+                time.sleep(0.05)
+                helper.send(i)
+            helper.outbox.close()
+            spent = helper.outcome()
+        finally:
+            helper.close()
     assert spent < WAITS_CPU_S
+    assert no_children_left()
 
 
 def test_a_caller_waiting_on_a_helper_uses_no_cpu():
@@ -196,13 +198,15 @@ def test_a_caller_waiting_on_a_helper_uses_no_cpu():
             time.sleep(0.05)
             send(i)
 
-    helper = pipeline.Helper(child)
-    try:
-        start = time.process_time()
-        got = [helper.recv() for _ in range(10)]
-        spent = time.process_time() - start
-        helper.outcome()
-    finally:
-        helper.close()
+    with alarm(30, "the helper's messages never come"):
+        helper = pipeline.Helper(child)
+        try:
+            start = time.process_time()
+            got = [helper.recv() for _ in range(10)]
+            spent = time.process_time() - start
+            helper.outcome()
+        finally:
+            helper.close()
     assert got == list(range(10))
     assert spent < WAITS_CPU_S
+    assert no_children_left()
