@@ -160,8 +160,8 @@ def test_pipelined_run_under_a_profiling_timer_equals_serial_run():
     assert no_children_left()
 
 
-# the CPU time, in seconds, that nine or ten waits of 50 ms may use: a
-# wait that spins for 2 ms before it blocks uses about 20 ms
+# the CPU time, in seconds, that nine or ten waits of 50 ms may use: ten
+# waits that each spin for 2 ms before they block use about 20 ms
 WAITS_CPU_S = 0.005
 
 
