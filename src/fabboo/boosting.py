@@ -21,13 +21,18 @@ in a bounded FIFO window. Whenever the cumulative fairness value exceeds
 the tolerance against the protected group, theta is set to the n-th
 highest window confidence, n being the number of decisions that would
 need to flip to restore parity; otherwise theta rests at the neutral 0.5.
+A `Boundary` holds theta, the ledger and the window; a `BoostedEnsemble`
+holds the learners and the imbalance monitor, and decides through its own
+Boundary, which it inherits.
 
-Neither recurrence reads the prediction, theta or the ledger, so the chain
-can be cut after learner k: the margin sum and (q, w) of learners 1..k on
-an arrival are all the rest of the chain needs. `score` and
-`train_instance` continue from such a head, which is empty (sum 0, q = 0,
-w = 1) unless a pipeline's helper process trains learners 1..k (see
-pipeline.py).
+Neither recurrence reads the prediction, theta or the ledger: training
+reads no boundary, only the fields of EnsembleParams named in TRAINING.
+So every boundary whose params agree on those can decide on the scores of
+one ensemble (prequential.run_heads), and the chain can be cut after
+learner k: the margin sum and (q, w) of learners 1..k on an arrival are
+all the rest of the chain needs. `score` and `train_instance` continue
+from such a head, which is empty (sum 0, q = 0, w = 1) unless a
+pipeline's helper process trains learners 1..k (see pipeline.py).
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ from .tree import HoeffdingTree
 _DIVISOR_FLOOR = 1e-3
 # margin sum, q and w of an empty head of the chain
 NO_HEAD = (0.0, 0.0, 1.0)
+# the EnsembleParams fields that training reads: boundaries on the scores
+# of one ensemble must agree on them (prequential.run_heads)
+TRAINING = ("learners", "gamma", "decay", "imbalance_adjust")
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,63 @@ class BoundaryWindow:
         return list(self._fifo)
 
 
-class BoostedEnsemble:
-    """Sequentially boosted trees with optional imbalance and fairness modes.
+class Boundary:
+    """The decision on an ensemble's confidence: 0.5, or theta for a
+    protected instance under a fairness notion, moved by the fairness
+    ledger and the window of `params` (see above).
+
+    `decide(score, group)` predicts from the ensemble's score, and
+    `observe(group, label, predicted)` follows it on the same instance
+    (prequential protocol) with what it returned; the window reuses the
+    confidence `decide` computed. Training reads no boundary, so any
+    number of them can decide on the scores of one ensemble.
+    """
+
+    def __init__(self, params: EnsembleParams):
+        self.params = params
+        self.theta = 0.5
+        self.ledger = FairnessLedger(params.smoothing, params.chunk)
+        self.window = BoundaryWindow(params.window)
+        self._rule = None if params.notion is None else RULES[params.notion]
+        self._seq = 0
+        self._confidence = 0.5   # of the protected instance last decided
+
+    def decide(self, score: float, group: bool) -> int:
+        rule = self._rule
+        if group and rule is not None:
+            # theta gates the notion's favourable prediction; the other
+            # is its negation, as POSITIVE and NEGATIVE are 1 and -1
+            c = self._confidence = score if rule.favourable == POSITIVE else 1.0 - score
+            return rule.favourable if rule.passes(c, self.theta) else -rule.favourable
+        return POSITIVE if score >= 0.5 else NEGATIVE
+
+    def observe(self, group: bool, label: int, predicted: int) -> None:
+        """Fairness bookkeeping, then the boundary adjustment."""
+        self._seq += 1
+        rule = self._rule
+        if rule is None:
+            return
+        self.ledger.record(group, label, predicted)
+        # a protected instance that the notion's rates count (rule.label is
+        # None or its label), denied the favourable prediction; a push
+        # expires the window as well
+        if group and predicted != rule.favourable and rule.label in (None, label):
+            self.window.push(self._confidence, self._seq)
+        else:
+            self.window.expire(self._seq)
+        value = self.ledger.value(self.params.notion)
+        theta = 0.5
+        # value > 0 needs non-protected base events: the flips are defined
+        if value > self.params.epsilon:
+            n = self.ledger.required_flips(self.params.notion)
+            if n > 0 and len(self.window) > 0:
+                theta = self.window.kth_highest(n)
+        self.theta = theta
+
+
+class BoostedEnsemble(Boundary):
+    """Sequentially boosted trees with optional imbalance and fairness modes,
+    deciding through its own Boundary.
 
     `learner_factory()` builds each learner (default: a HoeffdingTree over
     `kinds`). A learner has `predict_margin(x)`, a margin in [-1, 1], and
@@ -138,17 +201,11 @@ class BoostedEnsemble:
     """
 
     def __init__(self, params: EnsembleParams, kinds, learner_factory=None):
-        self.params = params
+        super().__init__(params)
         if learner_factory is None:
             learner_factory = lambda: HoeffdingTree(kinds)
         self.learners = [learner_factory() for _ in range(params.learners)]
-        self.theta = 0.5
         self.monitor = ImbalanceMonitor(params.decay)
-        self.ledger = FairnessLedger(params.smoothing, params.chunk)
-        self.window = BoundaryWindow(params.window)
-        self._rule = None if params.notion is None else RULES[params.notion]
-        self._seq = 0
-        self._confidence = 0.5   # of the protected instance last predicted
         self.tail = self.learners
         self.head = NO_HEAD
         self.head_error = None
@@ -161,16 +218,23 @@ class BoostedEnsemble:
         return (1.0 + total / len(self.learners)) / 2.0
 
     def predict(self, features, group: bool) -> int:
-        s = self.score(features)
-        rule = self._rule
-        if group and rule is not None:
-            # theta gates the notion's favourable prediction; the other
-            # is its negation, as POSITIVE and NEGATIVE are 1 and -1
-            c = self._confidence = s if rule.favourable == POSITIVE else 1.0 - s
-            return rule.favourable if rule.passes(c, self.theta) else -rule.favourable
-        return POSITIVE if s >= 0.5 else NEGATIVE
+        return self.decide(self.score(features), group)
 
     # ----------------------------------------------------------------- train
+
+    def learn(self, features, group: bool, label: int, predicted: int) -> None:
+        """Full per-instance update: this ensemble's boundary observes the
+        prediction, then the ensemble trains.
+
+        Prequential protocol: `learn` follows `predict` on the same
+        instance, and `predicted` is what that call returned."""
+        self.observe(group, label, predicted)
+        self.train(features, label)
+
+    def train(self, features, label: int) -> None:
+        """Imbalance update, then boosted training; no boundary is read."""
+        self.monitor.update(label)
+        self.train_instance(features, label, self.monitor.ocis())
 
     def train_instance(self, features, label: int, ocis: float) -> None:
         """One boosting pass over the learners (the weight recurrence
@@ -199,38 +263,6 @@ class BoostedEnsemble:
                 w = 1.0
             w /= div
         return q, w
-
-    def learn(self, features, group: bool, label: int, predicted: int) -> None:
-        """Full per-instance update: fairness bookkeeping, boundary
-        adjustment, imbalance update, then boosted training.
-
-        Prequential protocol: `learn` follows `predict` on the same
-        instance, and `predicted` is what that call returned; the boundary
-        window reuses the confidence it computed."""
-        self._seq += 1
-        if self.params.notion is not None:
-            self.ledger.record(group, label, predicted)
-            self._observe_and_adjust(group, label, predicted)
-        self.monitor.update(label)
-        self.train_instance(features, label, self.monitor.ocis())
-
-    def _observe_and_adjust(self, group, label, predicted) -> None:
-        rule = self._rule
-        # a protected instance that the notion's rates count (rule.label is
-        # None or its label), denied the favourable prediction; a push
-        # expires the window as well
-        if group and predicted != rule.favourable and rule.label in (None, label):
-            self.window.push(self._confidence, self._seq)
-        else:
-            self.window.expire(self._seq)
-        value = self.ledger.value(self.params.notion)
-        theta = 0.5
-        # value > 0 needs non-protected base events: the flips are defined
-        if value > self.params.epsilon:
-            n = self.ledger.required_flips(self.params.notion)
-            if n > 0 and len(self.window) > 0:
-                theta = self.window.kth_highest(n)
-        self.theta = theta
 
 
 def margin_sum(learners, features, total: float) -> float:

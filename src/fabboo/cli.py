@@ -71,12 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
 def apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """`cfg` with the given run/sweep flags applied. Each flag's dest is the
     field it sets, and its value is read as the field's config key is; a
-    flag declared to switch the source kind also sets the kind."""
+    flag declared to switch the source kind also sets the kind, and two
+    such flags are a ConfigError."""
     updates = {}
     for name, key in KEYS.items():
         if getattr(args, name, None) is not None:
             updates[name] = key.parse(getattr(args, name))
             if key.switch:
+                if "source_kind" in updates:
+                    raise ConfigError(f"give {switch} or {key.flag}, not both")
+                switch = key.flag
                 updates["source_kind"] = key.kind
     return replace(cfg, **updates)
 
@@ -171,10 +175,10 @@ def execute_sweep(cfg: ExperimentConfig, param: str, values: list[str]) -> str:
         if value in runs:
             raise ConfigError(f"sweep value {raw!r} repeats "
                               f"{runs[value][0]!r}")
-        sub_cfg = replace(cfg, **{attr: value,
-                                  "out_dir": str(out_root / f"{param}={raw}")})
-        sub_cfg.validate()
-        runs[value] = raw, sub_cfg
+        sub_cfg = replace(cfg, **{attr: value})
+        sub_cfg.validate()   # with the sweep's own out_dir
+        runs[value] = raw, replace(sub_cfg,
+                                   out_dir=str(out_root / f"{param}={raw}"))
     rows = []
     for raw, sub_cfg in runs.values():
         summaries = execute_run(sub_cfg)

@@ -333,6 +333,8 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
         if self.shuffles < 1:
             raise ConfigError("shuffles must be >= 1")
+        if not self.out_dir:   # else the run writes into the working directory
+            raise ConfigError("output dir must not be empty")
         if self.source_kind == "csv":
             if not self.csv_path or self.schema is None:
                 raise ConfigError("csv source needs path and schema")

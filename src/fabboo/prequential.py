@@ -1,10 +1,15 @@
 """First-test-then-train driver wiring models, monitors and metrics.
 
 For every arriving instance the driver asks the model for a prediction,
-records it into the confusion counts and the reporting fairness ledger,
-updates the reporting imbalance monitor with the revealed label, and only
-then lets the model learn. Each prediction depends only on earlier
+lets the model learn from the revealed label, then records the prediction
+into the confusion counts and the reporting fairness ledger and updates
+the reporting imbalance monitor. Each prediction depends only on earlier
 arrivals: the model sees an instance's label only after predicting it.
+
+The same loop serves k lanes at once: `run_heads` runs k boundaries (see
+boosting.Boundary) on the scores of one BoostedEnsemble, which trains once
+per arrival, and each lane keeps its own counters and trace.
+`run_prequential` is its one-lane case, with the model as its lane.
 When the boosting pipeline runs (see pipeline.py), the driver pulls up to
 `pipeline.LOOKAHEAD` arrivals ahead of the one it serves, and a helper
 process trains the first learners on them ahead of the prediction; each
@@ -29,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol
 
-from .boosting import EnsembleParams
+from .boosting import TRAINING, BoostedEnsemble, Boundary, EnsembleParams
 from .data import Instance
 from .fairness import FairnessLedger, Notion
 from .imbalance import ImbalanceMonitor
@@ -137,6 +142,50 @@ class Summary:
         return "\n".join(lines) + "\n"
 
 
+def _evaluate(model, source, lanes, predict, learn, cpus):
+    """The prequential loop. Per arrival, predict(features, group) gives a
+    prediction for each lane, (boundary, config, trace), of `lanes`;
+    learn(features, group, label, predictions) follows, and each lane
+    counts and traces its own. `model` is what parallel.arrivals may
+    pipeline. Returns [(trace, summary)] in lane order."""
+    lanes = [(boundary, config, Trace() if trace is None else trace,
+              ConfusionCounts(), FairnessLedger(config.smoothing),
+              ImbalanceMonitor(config.decay))
+             for boundary, config, trace in lanes]
+    t = 0
+    t0 = time.perf_counter()
+    served = arrivals(model, source, cpus)
+    try:
+        for inst in served:
+            t += 1
+            features, group, label = inst.features, inst.group, inst.label
+            preds = predict(features, group)
+            learn(features, group, label, preds)
+            for lane, pred in zip(lanes, preds):
+                boundary, config, trace, counts, ledger, monitor = lane
+                counts.update(label, pred)
+                ledger.record(group, label, pred)
+                monitor.update(label)
+                if t % config.stride == 0:
+                    m = metrics(counts)
+                    trace.append(TraceRow(
+                        t, pred, label, int(group),
+                        monitor.ocis(), ledger.value(config.trace_notion),
+                        getattr(boundary, "theta", 0.5),
+                        m["bal_acc"], m["gmean"], m["recall"], m["kappa"]))
+    finally:
+        served.close()
+    wall = time.perf_counter() - t0
+    return [(trace, Summary(
+        instances=t,
+        tp=counts.tp, fp=counts.fp, tn=counts.tn, fn=counts.fn,
+        **metrics(counts),
+        **{f"cum_{notion.value}": ledger.value(notion) for notion in Notion},
+        final_theta=getattr(boundary, "theta", 0.5),
+        wall_s=wall,
+    )) for boundary, _, trace, counts, ledger, _ in lanes]
+
+
 def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
                     config: EvalConfig = EvalConfig(),
                     trace=None, *, cpus: int | None = None):
@@ -153,48 +202,43 @@ def run_prequential(model: OnlineClassifier, source: Iterable[Instance],
     its boosting chain across two processes (see parallel.py), with the
     same results.
     """
-    if trace is None:
-        trace = Trace()
-    counts = ConfusionCounts()
-    ledger = FairnessLedger(config.smoothing)
-    monitor = ImbalanceMonitor(config.decay)
-    stride = config.stride
-    notion = config.trace_notion
-    t = 0
-    t0 = time.perf_counter()
-    served = arrivals(model, source, cpus)
-    try:
-        for inst in served:
-            t += 1
-            features, group, label = inst.features, inst.group, inst.label
-            pred = model.predict(features, group)
-            counts.update(label, pred)
-            ledger.record(group, label, pred)
-            monitor.update(label)
-            model.learn(features, group, label, pred)
-            if t % stride == 0:
-                m = metrics(counts)
-                trace.append(TraceRow(
-                    t, pred, label, int(group),
-                    monitor.ocis(), ledger.value(notion),
-                    getattr(model, "theta", 0.5),
-                    m["bal_acc"], m["gmean"], m["recall"], m["kappa"]))
-    finally:
-        served.close()
-    wall = time.perf_counter() - t0
-    m = metrics(counts)
-    summary = Summary(
-        instances=t,
-        tp=counts.tp, fp=counts.fp, tn=counts.tn, fn=counts.fn,
-        bal_acc=m["bal_acc"], gmean=m["gmean"],
-        recall=m["recall"], kappa=m["kappa"],
-        cum_sp=ledger.value(Notion.SP),
-        cum_eqop=ledger.value(Notion.EQOP),
-        cum_peq=ledger.value(Notion.PEQ),
-        final_theta=getattr(model, "theta", 0.5),
-        wall_s=wall,
-    )
-    return trace, summary
+    return _evaluate(model, source, [(model, config, trace)],
+                     lambda x, group: (model.predict(x, group),),
+                     lambda x, group, label, preds:
+                     model.learn(x, group, label, preds[0]), cpus)[0]
+
+
+def run_heads(model: BoostedEnsemble, source: Iterable[Instance], heads,
+              *, cpus: int | None = None) -> list:
+    """Evaluate k boundaries, the heads, on the scores of one ensemble,
+    which trains once per arrival.
+
+    Each head is (params, config, trace): a Boundary of the
+    EnsembleParams `params` decides on `model`'s scores, and is evaluated
+    under `config` into `trace` (a new Trace when None) as
+    run_prequential's model is. Returns [(trace, summary)] in head
+    order: each head's are those of run_prequential on a BoostedEnsemble
+    of its `params`, wall_s aside, which times the whole loop. A head
+    whose `params` train differently from `model.params` (the fields in
+    boosting.TRAINING) is a ValueError. `model`'s own boundary decides
+    nothing here. The pipeline serves the heads as it serves one model.
+    """
+    lanes = [(Boundary(params), config, trace)
+             for params, config, trace in heads]
+    if any(getattr(b.params, f) != getattr(model.params, f)
+           for b, _, _ in lanes for f in TRAINING):
+        raise ValueError(f"a head must train as its ensemble: {TRAINING}")
+
+    def predict(features, group):
+        score = model.score(features)
+        return [b.decide(score, group) for b, _, _ in lanes]
+
+    def learn(features, group, label, preds):
+        for (b, _, _), pred in zip(lanes, preds):
+            b.observe(group, label, pred)
+        model.train(features, label)
+
+    return _evaluate(model, source, lanes, predict, learn, cpus)
 
 
 def write_trace(path, rows: Iterable[TraceRow]) -> None:

@@ -144,3 +144,51 @@ def test_csv_workload_matches_the_benchmark_golden_digest(tmp_path,
     got = wl.collect(mods, ctx, out)
     assert got.problems == []
     assert got.digest == golden["sha256"]["csv_shuffles"]
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["synth_fabboo", "drift_osboost",
+                                  "csv_shuffles"])
+def test_traced_pass_matches_the_benchmark_golden_digest(tmp_path,
+                                                         monkeypatch, name):
+    """One pass of a workload at the golden seed with bench/spans.py's
+    wrappers installed, as `bench/run.py --trace 1` makes its traced
+    pass: the wrappers and their after-hooks (which read the model's
+    window, theta and learners, and the models cli.build_model returns)
+    run without error, the outputs keep the recorded digest, and the
+    per-layer metrics can be computed from what they recorded."""
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
+    spans, workloads = _bench_module("spans"), _bench_module("workloads")
+    mods = SimpleNamespace(fabboo=fabboo, **{
+        mod: importlib.import_module(f"fabboo.{mod}")
+        for mod in ("cli", "generators", "prequential", "metrics",
+                     "fairness", "imbalance", "boosting", "tree")})
+    wl = workloads.WORKLOADS[name](golden["seed"])
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    out.mkdir()
+    wl.prepare(mods, work)
+    ctx = wl.setup(mods, out)
+    tracer = spans.Tracer(costs=(0.0, 0.0))
+    undo = spans.instrument(tracer, mods)
+    try:
+        wl.call(mods, ctx, None, tracer)
+    finally:
+        undo()
+    got = wl.collect(mods, ctx, out)
+    assert got.problems == []
+    assert got.digest == golden["sha256"][name]
+    layers = spans.layer_metrics(
+        tracer, instances=got.instances, traced_wall=1.0, trace_overhead=1.0,
+        trace_bytes=got.trace_bytes, models=got.models or tracer.models,
+        prequential_wall=sum(wall for wall, _ in got.runs))
+    assert layers["tree.nodes"][0] > 0
+    assert layers["boosting.learn.self_us"][0] > 0

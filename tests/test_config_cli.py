@@ -451,6 +451,20 @@ def test_bad_config_file_exits_2_naming_the_key(tmp_path, capsys, text,
     assert not out.exists()
 
 
+def test_empty_output_dir_in_file_exits_2(tmp_path, capsys, monkeypatch):
+    """An empty [output] dir would put the run's files in the working
+    directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(PRESET_SOURCE + "[method]\nlearners = 2\n"
+                        "[output]\ndir =\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: output dir must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def test_keys_are_case_insensitive():
     cfg = parse_config_text(PRESET_SOURCE + "[method]\nLambda = 0.5\n"
                             "LEARNERS = 3\n\n[run]\nSeed = 4\n")
@@ -636,8 +650,15 @@ def test_run_invalid_combination_exits_2(tmp_path, capsys):
     (["--preset", "ratio_fixed", "--length", "0"], "length"),
     (["--preset", "ratio_fixed", "--length", "-1"],
      "length must be >= 1 for a run"),
+    (["--dataset", "absent.csv", "--preset", "ratio_fixed"],
+     "give --dataset or --preset, not both"),
+    (["--preset", "ratio_fixed", "--dataset", "absent.csv"],
+     "give --dataset or --preset, not both"),
+    (["--out", ""], "output dir must not be empty"),
 ])
-def test_bad_value_exits_2_before_any_output(tmp_path, capsys, flags, key):
+def test_bad_value_exits_2_before_any_output(tmp_path, capsys, monkeypatch,
+                                            flags, key):
+    monkeypatch.chdir(tmp_path)   # where a run with an empty --out writes
     data = write_dataset(tmp_path)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=data, out=tmp_path / "out"),

@@ -8,6 +8,14 @@ asserts how many each cut makes, so the promotion path is pinned too. Every
 digest is checked twice: on one CPU, where the run is serial, and with the
 boosting pipeline forked at arrival 500.
 
+The digests are computed per training class. Training reads no boundary,
+so the pairs that agree on the fields of `boosting.TRAINING` train the
+same trees; here they differ only in the imbalance adjustment, which
+makes two classes. Each (cut, class, path) trains one ensemble and runs
+every pair of the class as a head on its scores (`run_heads`): 16
+trainings for the 88 digests, each head's trace that of the pair's own
+run.
+
 A `fabboo run` on a CSV export is pinned the same way, through the CLI's
 load and shuffle: each shuffle's trace in shuffled order, run serially and
 with one pooled helper, and the trace in stored order.
@@ -33,7 +41,7 @@ from unittest import mock
 import pytest
 
 from fabboo import (BoostedEnsemble, EvalConfig, Notion, generate,
-                    method_params, preset, run_prequential, save_csv,
+                    method_params, preset, run_heads, save_csv,
                     with_overrides, write_trace)
 from fabboo import cli, parallel
 
@@ -162,18 +170,40 @@ PROMOTIONS = {"paper_synth": 0, "ratio_fixed": 0, "drift_sudden": 5,
               "ratio_fixed_5k": 0}
 
 
-def run_cut(cut, method, notion, path, cpus=1):
-    """Run one pair on one cut on `cpus` CPUs, write its stride-1 trace to
-    `path`; returns (sha256 of the trace file, total subtree promotions)."""
-    gen = CUTS[cut]()
-    model = BoostedEnsemble(method_params(method, notion, learners=5),
-                            gen.schema().kinds())
-    trace, _ = run_prequential(model, generate(gen),
-                               EvalConfig(trace_notion=notion or Notion.SP),
-                               cpus=cpus)
-    write_trace(path, trace)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digest, sum(t.replacements for t in model.learners)
+@pytest.fixture(scope="module")
+def class_runs():
+    """Digests, promotions and forked helpers of each (cut, imbalance
+    adjustment, CPUs) run, made when a test first asks for one."""
+    return {}
+
+
+def run_cut(runs, cut, method, notion, tmp_path, cpus=1):
+    """Run one pair on one cut on `cpus` CPUs, as a head of its training
+    class's run, which `runs` keeps; returns (sha256 of its stride-1
+    trace.csv, total subtree promotions, pids of the helpers the class's
+    run forked)."""
+    params = method_params(method, notion, learners=5)
+    run_key = (cut, params.imbalance_adjust, cpus)
+    if run_key not in runs:
+        pairs = [(m, n) for m, n in PAIRS
+                 if method_params(m, n).imbalance_adjust
+                 == params.imbalance_adjust]
+        gen = CUTS[cut]()
+        model = BoostedEnsemble(params, gen.schema().kinds())
+        heads = [(method_params(m, n, learners=5),
+                  EvalConfig(trace_notion=n or Notion.SP), None)
+                 for m, n in pairs]
+        with forks() as forked:
+            results = run_heads(model, generate(gen), heads, cpus=cpus)
+        digests = {}
+        for (m, n), (trace, _) in zip(pairs, results):
+            path = tmp_path / f"{m}-{n.value if n else 'none'}.csv"
+            write_trace(path, trace)
+            digests[m, n] = hashlib.sha256(path.read_bytes()).hexdigest()
+        promotions = sum(t.replacements for t in model.learners)
+        runs[run_key] = digests, promotions, forked
+    digests, promotions, forked = runs[run_key]
+    return digests[method, notion], promotions, forked
 
 
 PAIR_IDS = [f"{m}-{n.value if n else 'none'}" for m, n in PAIRS]
@@ -181,21 +211,21 @@ PAIR_IDS = [f"{m}-{n.value if n else 'none'}" for m, n in PAIRS]
 
 @pytest.mark.parametrize("cut", sorted(CUTS))
 @pytest.mark.parametrize("method,notion", PAIRS, ids=PAIR_IDS)
-def test_trace_digest(tmp_path, cut, method, notion):
+def test_trace_digest(tmp_path, class_runs, cut, method, notion):
     key = f"{cut}/{method}/{notion.value if notion else 'none'}"
-    digest, promotions = run_cut(cut, method, notion, tmp_path / "trace.csv")
+    digest, promotions, _ = run_cut(class_runs, cut, method, notion,
+                                    tmp_path)
     assert digest == DIGESTS[key], key
     assert promotions == PROMOTIONS[cut], key
 
 
 @pytest.mark.parametrize("cut", sorted(CUTS))
 @pytest.mark.parametrize("method,notion", PAIRS, ids=PAIR_IDS)
-def test_pipelined_trace_digest(tmp_path, cut, method, notion):
+def test_pipelined_trace_digest(tmp_path, class_runs, cut, method, notion):
     key = f"{cut}/{method}/{notion.value if notion else 'none'}"
-    with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 500), \
-            forks() as forked:
-        digest, promotions = run_cut(cut, method, notion,
-                                     tmp_path / "trace.csv", cpus=2)
+    with mock.patch.object(parallel, "PIPELINE_MIN_ARRIVALS", 500):
+        digest, promotions, forked = run_cut(class_runs, cut, method, notion,
+                                             tmp_path, cpus=2)
     assert len(forked) == 1
     assert digest == DIGESTS[key], key
     assert promotions == PROMOTIONS[cut], key
