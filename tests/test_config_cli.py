@@ -690,6 +690,19 @@ def test_bad_sweep_value_exits_2_before_any_output(tmp_path, capsys, param,
     assert not out.exists()
 
 
+def test_sweep_with_an_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    """Each value's run goes under `--out`; an empty one would put the
+    runs and the table in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--preset", "ratio_fixed", "--length", "200",
+                 "--learners", "2", "--param", "n", "--values", "1,2",
+                 "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: output dir must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_missing_file_exits_3(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CSV_CONFIG.format(path=tmp_path / "absent.csv",
