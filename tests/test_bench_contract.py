@@ -21,7 +21,6 @@ import fabboo
 from fabboo import cli, parallel, pipeline, prequential
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-SPANS = BENCH / "spans.py"
 
 # what bench/workloads.py calls besides the span targets
 WORKLOAD_NAMES = [
@@ -33,15 +32,27 @@ WORKLOAD_NAMES = [
 ]
 
 
-def test_span_targets_and_workload_names_exist():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    # the package's `metrics` name is the function, so import by path
-    mods = SimpleNamespace(fabboo=fabboo, **{
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _library_modules():
+    """The fabboo modules by name, as bench/spans.py takes them; the
+    package's `metrics` name is the function, so each is imported by
+    path."""
+    return SimpleNamespace(fabboo=fabboo, **{
         name: importlib.import_module(f"fabboo.{name}")
         for name in ("cli", "generators", "prequential", "metrics",
                      "fairness", "imbalance", "boosting", "tree")})
+
+
+def test_span_targets_and_workload_names_exist():
+    spans = _bench_module("spans")
+    mods = _library_modules()
     targets = spans.targets(mods)
     missing = [name for owner, attr, name in targets
                if not callable(getattr(owner, attr, None))]
@@ -102,10 +113,7 @@ def test_model_workload_matches_the_benchmark_golden_digest(tmp_path,
     recorded digest."""
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
     monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module("workloads")
     wl = workloads.WORKLOADS[name](golden["seed"])
     mods = SimpleNamespace(fabboo=fabboo, prequential=prequential, cli=cli)
     work, out = tmp_path / "work", tmp_path / "out"
@@ -129,10 +137,7 @@ def test_csv_workload_matches_the_benchmark_golden_digest(tmp_path,
     traced passes, whose coverage check fails now and then on its own."""
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
     monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module("workloads")
     wl = workloads.WORKLOADS["csv_shuffles"](golden["seed"])
     mods = SimpleNamespace(fabboo=fabboo, prequential=prequential, cli=cli)
     work, out = tmp_path / "work", tmp_path / "out"
@@ -144,14 +149,6 @@ def test_csv_workload_matches_the_benchmark_golden_digest(tmp_path,
     got = wl.collect(mods, ctx, out)
     assert got.problems == []
     assert got.digest == golden["sha256"]["csv_shuffles"]
-
-
-def _bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", ["synth_fabboo", "drift_osboost",
@@ -167,10 +164,7 @@ def test_traced_pass_matches_the_benchmark_golden_digest(tmp_path,
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
     monkeypatch.syspath_prepend(str(BENCH))   # workloads imports oracle
     spans, workloads = _bench_module("spans"), _bench_module("workloads")
-    mods = SimpleNamespace(fabboo=fabboo, **{
-        mod: importlib.import_module(f"fabboo.{mod}")
-        for mod in ("cli", "generators", "prequential", "metrics",
-                     "fairness", "imbalance", "boosting", "tree")})
+    mods = _library_modules()
     wl = workloads.WORKLOADS[name](golden["seed"])
     work, out = tmp_path / "work", tmp_path / "out"
     work.mkdir()
